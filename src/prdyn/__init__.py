@@ -22,6 +22,15 @@ from .diagnostics import (
     lemma_33_check,
     lemma_gap,
 )
+from .dynamics import (
+    StopRule,
+    default_initial_bids,
+    default_initial_exchange,
+    lazy_step,
+    pr_step,
+    run_exchange,
+    run_fisher,
+)
 from .equilibrium import (
     EquilibriumResult,
     equilibrium_exchange_state,
@@ -31,8 +40,6 @@ from .equilibrium import (
     verify_exchange_equilibrium,
     verify_fisher_equilibrium,
 )
-from .exchange import default_initial_exchange, lazy_step, run_exchange
-from .fisher import StopRule, default_initial_bids, pr_step, run_fisher
 from .market import (
     DynamicsTrace,
     ExchangeState,

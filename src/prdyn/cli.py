@@ -15,21 +15,21 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import equilibrium as eqmod
-from .diagnostics import (
-    DEFAULT_SLACK,
-    check_exchange_potential_decrease,
-    diagnose_fisher,
-    fisher_potential,
+from .diagnostics import check_exchange_potential_decrease, diagnose_fisher
+from .dynamics import (
+    StopRule,
+    default_initial_bids,
+    default_initial_exchange,
+    run_exchange,
+    run_fisher,
 )
 from .errors import ParseError, PrdynError
-from .exchange import default_initial_exchange, run_exchange
-from .fisher import StopRule, default_initial_bids, run_fisher
 from .market import DynamicsTrace, MarketSpec, Mode, TraceRecord, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
@@ -44,16 +44,9 @@ class RunConfig:
     max_iters: int = 20000
     price_tol: float = 1e-10
     record_every: int = 1
-    seed: int = 0
     out_dir: str = "out"
     diagnostics: bool = False
     full_dump: bool = False
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.price_tol < 0:
-            raise ValueError(f"price_tol must be nonnegative, got {self.price_tol}")
 
 
 def _fmt(x: float) -> str:
@@ -148,10 +141,12 @@ def write_market(spec: MarketSpec, path):
 # ---------------------------------------------------------------------------
 
 def generate_market(
-    n: int, m: int, family: str, seed: int, mode: Mode = Mode.FISHER, alpha: float = 0.5
+    n: int, m: int, family: str, seed: int, mode: Mode = Mode.FISHER,
+    alpha: float | np.ndarray = 0.5,
 ) -> MarketSpec:
     """Seeded random instance: weights log-uniform in [0.1, 10] row-normalized,
-    budgets uniform in [0.5, 2], exponents uniform in [0.2, 0.8]."""
+    budgets uniform in [0.5, 2], exponents uniform in [0.2, 0.8]. In exchange
+    mode, alpha is the laziness of every agent or a per-agent vector."""
     if family not in _FAMILIES:
         raise ParseError(f"unknown family {family!r}, expected one of {_FAMILIES}")
     if mode is Mode.EXCHANGE and m < n:
@@ -238,6 +233,7 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
             if market.mode is Mode.EXCHANGE:
                 rec.budgets_B = np.array([float(row[f"B_{i + 1}"]) for i in range(n)])
                 rec.spend_e = np.array([float(row[f"e_{i + 1}"]) for i in range(n)])
+                trace.track_budget_drift(rec.budgets_B)
             trace.records.append(rec)
     trace.n_steps = trace.records[-1].iteration + 1 if trace.records else 0
     return trace
@@ -290,6 +286,38 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace) -> dict:
+    """The diagnostics.json document of a consecutive trace, the same for a
+    fresh run and for a replayed --full-dump trace. Also fills each record's
+    potential_value."""
+    if market.mode is Mode.FISHER:
+        eq = eqmod.solve_fisher_eq(market)
+        report = diagnose_fisher(trace, market, eq)
+        passed = report.passed
+        doc = {
+            "lemma_gap_min": report.lemma_gap_min,
+            "final_price_error": float(np.max(np.abs(trace.records[-1].prices - eq.p_star))),
+        }
+    else:
+        eq = eqmod.solve_exchange_eq(market)
+        transformed = eqmod.transform_exchange_equilibrium(market, eq)
+        report = check_exchange_potential_decrease(trace, transformed, market.laziness)
+        verify = eqmod.verify_exchange_equilibrium(
+            market, trace.records[-1].allocation, eq.p_star, tol=1e-4
+        )
+        passed = report.passed and verify.passed
+        doc = {"budget_drift": trace.budget_drift, "final_demand_residual": verify.demand_residual}
+    for rec, value in zip(trace.records, report.potential_series):
+        rec.potential_value = value
+    doc.update(
+        oracle_converged=eq.converged,
+        passed=passed and eq.converged,
+        monotone_violations=report.monotone_violations,
+        final_potential=report.potential_series[-1],
+    )
+    return doc
+
+
 def _run_one(config: RunConfig) -> int:
     market = load_market(config.market_path)
     out = Path(config.out_dir)
@@ -300,40 +328,9 @@ def _run_one(config: RunConfig) -> int:
     else:
         trace = run_exchange(market, default_initial_exchange(market), stop, config.record_every)
 
-    diag_doc = None
     diag_passed = True
     if config.diagnostics:
-        if market.mode is Mode.FISHER:
-            eq = eqmod.solve_fisher_eq(market)
-            report = diagnose_fisher(trace, market, eq)
-            for rec in trace.records:
-                rec.potential_value = fisher_potential(eq.b_star, rec.bids)
-            price_error = float(np.max(np.abs(trace.records[-1].prices - eq.p_star)))
-            diag_doc = {
-                "oracle_converged": eq.converged,
-                "passed": report.passed and eq.converged,
-                "monotone_violations": report.monotone_violations,
-                "lemma_gap_min": report.lemma_gap_min,
-                "final_potential": report.potential_series[-1],
-                "final_price_error": price_error,
-            }
-        else:
-            eq = eqmod.solve_exchange_eq(market)
-            transformed = eqmod.transform_exchange_equilibrium(market, eq)
-            report = check_exchange_potential_decrease(trace, transformed, market.laziness)
-            for rec, value in zip(trace.records, report.potential_series):
-                rec.potential_value = value
-            verify = eqmod.verify_exchange_equilibrium(
-                market, trace.records[-1].allocation, eq.p_star, tol=1e-4
-            )
-            diag_doc = {
-                "oracle_converged": eq.converged,
-                "passed": report.passed and eq.converged and verify.passed,
-                "monotone_violations": report.monotone_violations,
-                "final_potential": report.potential_series[-1],
-                "budget_drift": trace.budget_drift,
-                "final_demand_residual": verify.demand_residual,
-            }
+        diag_doc = _diagnostics_doc(market, trace)
         diag_passed = diag_doc["passed"]
         _write_json(diag_doc, out / "diagnostics.json")
 
@@ -365,7 +362,6 @@ def cmd_run(args) -> int:
         max_iters=args.max_iters,
         price_tol=args.price_tol,
         record_every=args.record_every,
-        seed=args.seed,
         out_dir=args.out,
         diagnostics=args.diagnostics,
         full_dump=args.full_dump,
@@ -374,31 +370,22 @@ def cmd_run(args) -> int:
         return _run_one(base)
 
     # Fan independent seeds over worker threads, one subdirectory each. The
-    # per-seed market is regenerated with the same shape/family as the input.
+    # per-seed market is regenerated with the shape, family and laziness of
+    # the input.
     src = load_market(args.market)
-    family = (
-        "cobb_douglas" if isinstance(src.utilities[0], CobbDouglas)
-        else "ces" if isinstance(src.utilities[0], CES)
-        else "separable_power"
-    )
+    families = sorted({_utility_to_json(u)["family"] for u in src.utilities})
+    if len(families) > 1:
+        raise ParseError(f"--batch needs a single-family market, got families {families}")
 
     def one(seed: int) -> int:
         sub = Path(args.out) / f"seed-{seed:04d}"
         sub.mkdir(parents=True, exist_ok=True)
-        spec = generate_market(src.n_buyers, src.n_goods, family, seed=seed, mode=src.mode)
+        spec = generate_market(
+            src.n_buyers, src.n_goods, families[0], seed=seed, mode=src.mode, alpha=src.laziness
+        )
         market_path = sub / "market.json"
         write_market(spec, market_path)
-        cfg = RunConfig(
-            market_path=str(market_path),
-            max_iters=args.max_iters,
-            price_tol=args.price_tol,
-            record_every=args.record_every,
-            seed=seed,
-            out_dir=str(sub),
-            diagnostics=args.diagnostics,
-            full_dump=args.full_dump,
-        )
-        return _run_one(cfg)
+        return _run_one(replace(base, market_path=str(market_path), out_dir=str(sub)))
 
     seeds = range(args.seed, args.seed + args.batch)
     with ThreadPoolExecutor(max_workers=min(args.batch, os.cpu_count() or 1)) as pool:
@@ -411,24 +398,7 @@ def cmd_verify(args) -> int:
     trace = read_trace(args.trace, market)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if market.mode is Mode.FISHER:
-        eq = eqmod.solve_fisher_eq(market)
-        report = diagnose_fisher(trace, market, eq)
-        doc = {
-            "oracle_converged": eq.converged,
-            "passed": report.passed and eq.converged,
-            "monotone_violations": report.monotone_violations,
-            "lemma_gap_min": report.lemma_gap_min,
-        }
-    else:
-        eq = eqmod.solve_exchange_eq(market)
-        transformed = eqmod.transform_exchange_equilibrium(market, eq)
-        report = check_exchange_potential_decrease(trace, transformed, market.laziness)
-        doc = {
-            "oracle_converged": eq.converged,
-            "passed": report.passed and eq.converged,
-            "monotone_violations": report.monotone_violations,
-        }
+    doc = _diagnostics_doc(market, trace)
     _write_json(doc, out / "diagnostics.json")
     return 0 if doc["passed"] else 1
 

@@ -17,6 +17,7 @@ from .equilibrium import EquilibriumResult, TransformedEquilibrium
 from .errors import (
     InfeasibleAllocation,
     LengthMismatch,
+    ModeMismatch,
     NonConsecutiveTrace,
     NonPositiveEntry,
     NonPositivePrice,
@@ -82,7 +83,7 @@ def check_potential_decrease(
 
 
 def check_avg_price_rate(
-    trace: DynamicsTrace, eq: EquilibriumResult, b0, slack: float = DEFAULT_SLACK
+    trace: DynamicsTrace, eq: EquilibriumResult, b0
 ) -> List[Tuple[int, float, float]]:
     """O(1/T) bound: KL(p* | mean of p^0..p^{T-1}) <= KL(b*|b^0) / T."""
     _require_consecutive(trace)
@@ -174,10 +175,11 @@ def diagnose_fisher(
 ) -> DiagnosticsReport:
     """Full Fisher report: potential decrease, average-price bound, and the
     personal-price inequality at every recorded interior iterate."""
-    assert trace.mode is Mode.FISHER
+    if trace.mode is not Mode.FISHER:
+        raise ModeMismatch(f"diagnose_fisher needs a fisher trace, got {trace.mode.value}")
     report = check_potential_decrease(trace, eq, slack)
     b0 = trace.records[0].bids
-    report.avg_price_bound = check_avg_price_rate(trace, eq, b0, slack)
+    report.avg_price_bound = check_avg_price_rate(trace, eq, b0)
     rate_ok = all(lhs <= rhs + slack for _, lhs, rhs in report.avg_price_bound)
     gaps = [lemma_33_check(market, eq, r.allocation) for r in trace.records]
     report.lemma_gap_min = float(min(gaps))

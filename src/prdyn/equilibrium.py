@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import corresponding_price, demand
-from .market import ExchangeState, MarketSpec, Mode
+from .errors import ModeMismatch
+from .market import ExchangeState, MarketSpec, Mode, income
 from .utilities import CobbDouglas
 
 DEFAULT_DAMPING = 0.3
@@ -31,23 +32,19 @@ class EquilibriumResult:
     iterations: int
 
 
-def _budgets_at(market: MarketSpec, p: np.ndarray) -> np.ndarray:
-    if market.mode is Mode.FISHER:
-        return market.budgets
-    rev = np.empty(market.n_buyers)
-    for i, goods in enumerate(market.endowments):
-        rev[i] = p[list(goods)].sum()
-    return rev
+def _require_mode(market: MarketSpec, mode: Mode):
+    if market.mode is not mode:
+        raise ModeMismatch(f"expected a {mode.value} market, got {market.mode.value}")
 
 
 def _aggregate_demand(market: MarketSpec, p: np.ndarray) -> np.ndarray:
-    e = _budgets_at(market, p)
+    e = income(market, p)
     return np.stack([demand(u, p, e[i]).x for i, u in enumerate(market.utilities)])
 
 
 def _finish(market: MarketSpec, p: np.ndarray, converged: bool, iters: int) -> EquilibriumResult:
     x = _aggregate_demand(market, p)
-    e = _budgets_at(market, p)
+    e = income(market, p)
     b = x * p
     clearing = float(np.max(np.abs(x.sum(axis=0) - 1.0)))
     budget_gap = float(np.max(np.abs(b.sum(axis=1) - e) / e))
@@ -69,19 +66,10 @@ def _finish(market: MarketSpec, p: np.ndarray, converged: bool, iters: int) -> E
     )
 
 
-def solve_fisher_eq(
-    market: MarketSpec,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
-    damping: float = DEFAULT_DAMPING,
+def _tatonnement(
+    market: MarketSpec, total: float, tol: float, max_iters: int, damping: float
 ) -> EquilibriumResult:
-    assert market.mode is Mode.FISHER
-    total = float(market.budgets.sum())
-    if all(isinstance(u, CobbDouglas) for u in market.utilities):
-        A = np.stack([u.weights for u in market.utilities])
-        p = market.budgets @ A
-        return _finish(market, p, converged=True, iters=0)
-
+    """Damped multiplicative excess-demand iteration on prices that sum to total."""
     p = np.full(market.n_goods, total / market.n_goods)
     for it in range(1, max_iters + 1):
         z = _aggregate_demand(market, p).sum(axis=0)
@@ -92,21 +80,29 @@ def solve_fisher_eq(
     return _finish(market, p, converged=False, iters=max_iters)
 
 
+def solve_fisher_eq(
+    market: MarketSpec,
+    tol: float = 1e-10,
+    max_iters: int = 20000,
+    damping: float = DEFAULT_DAMPING,
+) -> EquilibriumResult:
+    _require_mode(market, Mode.FISHER)
+    if all(isinstance(u, CobbDouglas) for u in market.utilities):
+        A = np.stack([u.weights for u in market.utilities])
+        p = market.budgets @ A
+        return _finish(market, p, converged=True, iters=0)
+    return _tatonnement(market, float(market.budgets.sum()), tol, max_iters, damping)
+
+
 def solve_exchange_eq(
     market: MarketSpec,
     tol: float = 1e-10,
     max_iters: int = 20000,
     damping: float = DEFAULT_DAMPING,
 ) -> EquilibriumResult:
-    assert market.mode is Mode.EXCHANGE
-    p = np.full(market.n_goods, 1.0 / market.n_goods)
-    for it in range(1, max_iters + 1):
-        z = _aggregate_demand(market, p).sum(axis=0)
-        if np.max(np.abs(z - 1.0)) <= tol:
-            return _finish(market, p, converged=True, iters=it)
-        p = p * z ** damping
-        p /= p.sum()
-    return _finish(market, p, converged=False, iters=max_iters)
+    """Exchange equilibria are scale free; prices are normalized to sum to 1."""
+    _require_mode(market, Mode.EXCHANGE)
+    return _tatonnement(market, 1.0, tol, max_iters, damping)
 
 
 @dataclass(frozen=True)
@@ -117,42 +113,31 @@ class EquilibriumReport:
     passed: bool
 
 
-def verify_fisher_equilibrium(
-    market: MarketSpec, x, p, tol: float = 1e-8
-) -> EquilibriumReport:
+def _verify(market: MarketSpec, x, p: np.ndarray, tol: float) -> EquilibriumReport:
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    xd = np.stack(
-        [demand(u, p, market.budgets[i]).x for i, u in enumerate(market.utilities)]
-    )
-    col = x.sum(axis=0)
-    report = EquilibriumReport(
-        demand_residual=float(np.max(np.abs(x - xd))),
-        oversell=float(max(np.max(col - 1.0), 0.0)),
-        undersell=float(max(np.max(1.0 - col), 0.0)),
-        passed=False,
-    )
-    passed = report.demand_residual <= tol and report.oversell <= tol and report.undersell <= tol
-    return EquilibriumReport(report.demand_residual, report.oversell, report.undersell, passed)
-
-
-def verify_exchange_equilibrium(
-    market: MarketSpec, x, p, tol: float = 1e-8
-) -> EquilibriumReport:
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    # Exchange equilibria are scale free; demand is homogeneous of degree zero
-    # in (p, e), so the report is identical under p -> c p. Normalize anyway so
-    # residuals are comparable across calls.
-    p = p / p.sum()
-    e = _budgets_at(market, p)
-    xd = np.stack([demand(u, p, e[i]).x for i, u in enumerate(market.utilities)])
+    xd = _aggregate_demand(market, p)
     col = x.sum(axis=0)
     demand_residual = float(np.max(np.abs(x - xd)))
     oversell = float(max(np.max(col - 1.0), 0.0))
     undersell = float(max(np.max(1.0 - col), 0.0))
     passed = demand_residual <= tol and oversell <= tol and undersell <= tol
     return EquilibriumReport(demand_residual, oversell, undersell, passed)
+
+
+def verify_fisher_equilibrium(
+    market: MarketSpec, x, p, tol: float = 1e-8
+) -> EquilibriumReport:
+    return _verify(market, x, np.asarray(p, dtype=float), tol)
+
+
+def verify_exchange_equilibrium(
+    market: MarketSpec, x, p, tol: float = 1e-8
+) -> EquilibriumReport:
+    """Demand is homogeneous of degree zero in (p, income(p)), so the report
+    is the same under p -> c p; p is normalized to sum to 1 anyway so that
+    residuals are comparable across calls."""
+    p = np.asarray(p, dtype=float)
+    return _verify(market, x, p / p.sum(), tol)
 
 
 @dataclass(frozen=True)
@@ -174,12 +159,12 @@ def transform_exchange_equilibrium(
     market: MarketSpec, eq: EquilibriumResult
 ) -> TransformedEquilibrium:
     alpha = market.laziness
-    income = _budgets_at(market, eq.p_star)  # per-agent revenue at p*
-    B_tilde = income / alpha
+    revenue = income(market, eq.p_star)
+    B_tilde = revenue / alpha
     scale = float(B_tilde.sum())
     return TransformedEquilibrium(
         b_star=eq.x_star * eq.p_star / scale,
-        e_star=income / scale,
+        e_star=revenue / scale,
         B_star=B_tilde / scale,
         p_star=eq.p_star / scale,
         x_star=eq.x_star,

@@ -23,6 +23,10 @@ class UtilityParamInvalid(PrdynError):
     pass
 
 
+class ModeMismatch(PrdynError):
+    """A Fisher-only or exchange-only routine was given the other mode."""
+
+
 # --- utility / demand evaluation ---
 
 class NonPositiveBundle(PrdynError):
@@ -54,6 +58,10 @@ class BudgetNotDominated(PrdynError):
 
 
 # --- dynamics ---
+
+class InvalidRunControl(PrdynError, ValueError):
+    """A stop rule or recording interval out of range."""
+
 
 class NonPositiveBid(PrdynError):
     pass

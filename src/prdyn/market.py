@@ -8,6 +8,7 @@ agents) plus a per-agent laziness parameter alpha in (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -55,6 +56,22 @@ class MarketSpec:
                 self, "endowments", tuple(tuple(int(j) for j in g) for g in self.endowments)
             )
 
+    @cached_property
+    def ownership(self) -> np.ndarray:
+        """One-hot matrix O (exchange mode): O[i, j] = 1 when agent i owns good j."""
+        O = np.zeros((self.n_buyers, self.n_goods))
+        for i, goods in enumerate(self.endowments):
+            O[i, list(goods)] = 1.0
+        return O
+
+
+def income(market: MarketSpec, p: np.ndarray) -> np.ndarray:
+    """Money each agent receives at prices p: the fixed budget in a Fisher
+    market, the revenue O @ p of the owned goods in an exchange market."""
+    if market.mode is Mode.FISHER:
+        return market.budgets
+    return market.ownership @ p
+
 
 def validate_market(spec: MarketSpec) -> MarketSpec:
     """Check all structural invariants; return the market unchanged if they hold."""
@@ -74,8 +91,10 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
             raise UtilityParamInvalid("Fisher market must not carry endowments or laziness")
         if spec.budgets.shape != (n,):
             raise NonPositiveBudget(f"budgets shape {spec.budgets.shape}, expected ({n},)")
-        if not np.all(spec.budgets > 0):
-            raise NonPositiveBudget(f"budgets must be strictly positive, got {spec.budgets}")
+        if not np.all(np.isfinite(spec.budgets) & (spec.budgets > 0)):
+            raise NonPositiveBudget(
+                f"budgets must be finite and strictly positive, got {spec.budgets}"
+            )
     else:
         if spec.budgets is not None:
             raise UtilityParamInvalid("exchange market must not carry budgets")
@@ -83,6 +102,9 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
             raise EndowmentNotPartition("exchange market requires endowments and laziness")
         if len(spec.endowments) != n:
             raise EndowmentNotPartition(f"expected {n} endowment sets, got {len(spec.endowments)}")
+        for i, goods in enumerate(spec.endowments):
+            if not goods:
+                raise EndowmentNotPartition(f"agent {i} owns no goods, so it never has income")
         owned = [j for g in spec.endowments for j in g]
         if sorted(owned) != list(range(m)):
             raise EndowmentNotPartition(
@@ -140,7 +162,8 @@ class DynamicsTrace:
     """Ordered per-iteration records plus run-level bookkeeping.
 
     ``budget_drift`` is the worst deviation of sum_i B_i from 1 seen at any
-    iteration of an exchange run (0.0 for Fisher runs).
+    iteration of an exchange run (0.0 for Fisher runs); a trace read back
+    from a full dump rebuilds it from the recorded B_i.
     """
 
     mode: Mode
@@ -148,6 +171,9 @@ class DynamicsTrace:
     stop_reason: str = ""
     n_steps: int = 0
     budget_drift: float = 0.0
+
+    def track_budget_drift(self, budgets_B: np.ndarray):
+        self.budget_drift = max(self.budget_drift, abs(float(budgets_B.sum()) - 1.0))
 
     def iterations(self) -> np.ndarray:
         return np.array([r.iteration for r in self.records])

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,16 @@ class TestLoadMarket:
         })
         with pytest.raises(UtilityParamInvalid):
             load_market(path)
+
+    def test_readme_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        modes = set()
+        for k, text in enumerate(examples):
+            path = tmp_path / f"readme-{k}.json"
+            path.write_text(text)
+            modes.add(load_market(path).mode)
+        assert modes == {Mode.FISHER, Mode.EXCHANGE}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -126,6 +138,40 @@ class TestRun:
         assert diag["passed"]
         assert diag["budget_drift"] <= 1e-10
 
+    @pytest.mark.parametrize("flag", ["--max-iters", "--record-every"])
+    def test_run_control_below_one_is_error(self, tmp_path, capsys, flag):
+        mfile = tmp_path / "m.json"
+        main(["gen", "2", "3", "ces", "--seed", "0", "--out", str(mfile)])
+        code = main(["run", "--market", str(mfile), flag, "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
+
+    def test_batch_keeps_exchange_laziness(self, tmp_path):
+        mfile = tmp_path / "m.json"
+        main([
+            "gen", "2", "3", "cobb_douglas", "--mode", "exchange", "--alpha", "0.9",
+            "--seed", "0", "--out", str(mfile),
+        ])
+        out = tmp_path / "batch"
+        assert main(["run", "--market", str(mfile), "--batch", "2", "--out", str(out)]) == 0
+        for seed in (0, 1):
+            market = load_market(out / f"seed-{seed:04d}" / "market.json")
+            assert market.mode is Mode.EXCHANGE
+            assert np.array_equal(market.laziness, [0.9, 0.9])
+
+    def test_batch_rejects_mixed_families(self, tmp_path, capsys):
+        mfile = tmp_path / "m.json"
+        write_json(mfile, {
+            "mode": "fisher", "goods": 2,
+            "buyers": [
+                {"budget": 1.0, "utility": {"family": "ces", "weights": [1, 1], "rho": 0.5}},
+                {"budget": 1.0, "utility": {"family": "cobb_douglas", "weights": [1, 1]}},
+            ],
+        })
+        code = main(["run", "--market", str(mfile), "--batch", "2", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
     def test_batch_runs_in_subdirs(self, tmp_path):
         mfile = tmp_path / "m.json"
         main(["gen", "2", "3", "ces", "--seed", "0", "--out", str(mfile)])
@@ -152,6 +198,31 @@ class TestVerify:
             "--out", str(tmp_path / "v"),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "gen_args, run_args, expected",
+        [
+            # stopped far from equilibrium: both fail the demand check
+            (["2", "3", "ces", "--mode", "exchange", "--seed", "4"],
+             ["--max-iters", "5", "--price-tol", "0"], 1),
+            (["3", "4", "ces", "--seed", "7"], ["--price-tol", "1e-10"], 0),
+        ],
+    )
+    def test_verify_reproduces_run_diagnostics(self, tmp_path, gen_args, run_args, expected):
+        mfile = tmp_path / "m.json"
+        main(["gen", *gen_args, "--out", str(mfile)])
+        run_out, verify_out = tmp_path / "run", tmp_path / "verify"
+        run_code = main([
+            "run", "--market", str(mfile), *run_args,
+            "--full-dump", "--diagnostics", "--out", str(run_out),
+        ])
+        verify_code = main([
+            "verify", "--market", str(mfile), "--trace", str(run_out / "trace.csv"),
+            "--out", str(verify_out),
+        ])
+        assert run_code == verify_code == expected
+        run_doc = (run_out / "diagnostics.json").read_bytes()
+        assert (verify_out / "diagnostics.json").read_bytes() == run_doc
 
     def test_trace_round_trip_exact(self, tmp_path):
         mfile = tmp_path / "m.json"

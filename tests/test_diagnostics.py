@@ -27,6 +27,7 @@ from prdyn import (
 from prdyn.errors import (
     InfeasibleAllocation,
     LengthMismatch,
+    ModeMismatch,
     NonConsecutiveTrace,
     NonPositiveEntry,
     ShapeMismatch,
@@ -228,3 +229,10 @@ class TestDiagnoseFisher:
         assert report.passed
         assert report.lemma_gap_min <= 1e-9
         assert report.potential_series[-1] < report.potential_series[0]
+
+    def test_exchange_trace_rejected(self):
+        market = symmetric_market()
+        eq = solve_exchange_eq(market)
+        trace = run_exchange(market, default_initial_exchange(market), StopRule(5))
+        with pytest.raises(ModeMismatch):
+            diagnose_fisher(trace, market, eq)

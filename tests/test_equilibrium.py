@@ -14,6 +14,7 @@ from prdyn import (
     verify_exchange_equilibrium,
     verify_fisher_equilibrium,
 )
+from prdyn.errors import ModeMismatch
 from conftest import cobb_douglas_2x2, random_fisher_market
 from test_exchange import random_exchange_market, symmetric_market
 
@@ -70,6 +71,10 @@ class TestSolveFisher:
         eq = solve_fisher_eq(market, tol=1e-14, max_iters=2)
         assert not eq.converged
 
+    def test_exchange_market_rejected(self):
+        with pytest.raises(ModeMismatch):
+            solve_fisher_eq(symmetric_market())
+
 
 class TestVerifyFisher:
     def test_solver_output_passes(self):
@@ -109,6 +114,10 @@ class TestSolveExchange:
         eq = solve_exchange_eq(market)
         assert eq.converged
         assert np.allclose(eq.x_star, 1.0, atol=1e-9)
+
+    def test_fisher_market_rejected(self):
+        with pytest.raises(ModeMismatch):
+            solve_exchange_eq(cobb_douglas_2x2())
 
     def test_three_agent_ces_verifies(self, rng):
         market = random_exchange_market("ces", 3, 4, rng)

@@ -84,6 +84,31 @@ def test_negative_budget_rejected():
         validate_market(spec)
 
 
+def test_infinite_budget_rejected():
+    spec = MarketSpec(
+        n_buyers=2,
+        n_goods=2,
+        utilities=(CobbDouglas([0.5, 0.5]), CobbDouglas([0.5, 0.5])),
+        mode=Mode.FISHER,
+        budgets=[np.inf, 1.0],
+    )
+    with pytest.raises(NonPositiveBudget, match="finite"):
+        validate_market(spec)
+
+
+def test_agent_without_goods_rejected():
+    spec = MarketSpec(
+        n_buyers=2,
+        n_goods=2,
+        utilities=(CobbDouglas([0.5, 0.5]), CobbDouglas([0.5, 0.5])),
+        mode=Mode.EXCHANGE,
+        endowments=((0, 1), ()),
+        laziness=[0.5, 0.5],
+    )
+    with pytest.raises(EndowmentNotPartition, match="agent 1 owns no goods"):
+        validate_market(spec)
+
+
 def test_fisher_must_not_carry_exchange_fields():
     spec = MarketSpec(
         n_buyers=1,

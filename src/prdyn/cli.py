@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +35,6 @@ from .utilities import CES, CobbDouglas, SeparablePower
 log = logging.getLogger("prdyn")
 
 _FAMILIES = ("cobb_douglas", "ces", "separable_power")
-
-
-@dataclass
-class RunConfig:
-    market_path: str
-    max_iters: int = 20000
-    price_tol: float = 1e-10
-    record_every: int = 1
-    out_dir: str = "out"
-    diagnostics: bool = False
-    full_dump: bool = False
 
 
 def _fmt(x: float) -> str:
@@ -318,18 +306,19 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace) -> dict:
     return doc
 
 
-def _run_one(config: RunConfig) -> int:
-    market = load_market(config.market_path)
-    out = Path(config.out_dir)
+def _run_one(args) -> int:
+    """One run of the `run` subcommand's namespace, without --batch."""
+    market = load_market(args.market)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stop = StopRule(max_iters=config.max_iters, price_tol=config.price_tol)
+    stop = StopRule(max_iters=args.max_iters, price_tol=args.price_tol)
     if market.mode is Mode.FISHER:
-        trace = run_fisher(market, default_initial_bids(market), stop, config.record_every)
+        trace = run_fisher(market, default_initial_bids(market), stop, args.record_every)
     else:
-        trace = run_exchange(market, default_initial_exchange(market), stop, config.record_every)
+        trace = run_exchange(market, default_initial_exchange(market), stop, args.record_every)
 
     diag_passed = True
-    if config.diagnostics:
+    if args.diagnostics:
         diag_doc = _diagnostics_doc(market, trace)
         diag_passed = diag_doc["passed"]
         _write_json(diag_doc, out / "diagnostics.json")
@@ -346,28 +335,19 @@ def _run_one(config: RunConfig) -> int:
         },
         out / "summary.json",
     )
-    write_trace(trace, market, out / "trace.csv", full_dump=config.full_dump)
+    write_trace(trace, market, out / "trace.csv", full_dump=args.full_dump)
 
-    not_converged = trace.stop_reason == "max_iters" and config.price_tol > 0
+    not_converged = trace.stop_reason == "max_iters" and args.price_tol > 0
     if not_converged:
-        log.error("dynamics hit max_iters=%d without reaching price_tol", config.max_iters)
+        log.error("dynamics hit max_iters=%d without reaching price_tol", args.max_iters)
     if not diag_passed:
         log.error("diagnostics failed; see %s", out / "diagnostics.json")
     return 0 if (diag_passed and not not_converged) else 1
 
 
 def cmd_run(args) -> int:
-    base = RunConfig(
-        market_path=args.market,
-        max_iters=args.max_iters,
-        price_tol=args.price_tol,
-        record_every=args.record_every,
-        out_dir=args.out,
-        diagnostics=args.diagnostics,
-        full_dump=args.full_dump,
-    )
     if args.batch <= 1:
-        return _run_one(base)
+        return _run_one(args)
 
     # Fan independent seeds over worker threads, one subdirectory each. The
     # per-seed market is regenerated with the shape, family and laziness of
@@ -385,7 +365,7 @@ def cmd_run(args) -> int:
         )
         market_path = sub / "market.json"
         write_market(spec, market_path)
-        return _run_one(replace(base, market_path=str(market_path), out_dir=str(sub)))
+        return _run_one(argparse.Namespace(**{**vars(args), "market": market_path, "out": sub}))
 
     seeds = range(args.seed, args.seed + args.batch)
     with ThreadPoolExecutor(max_workers=min(args.batch, os.cpu_count() or 1)) as pool:

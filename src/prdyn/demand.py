@@ -2,7 +2,8 @@
 
 Cobb-Douglas and CES demands are closed form. Separable power demand solves
 the budget constraint for the KKT multiplier by bisection: spending p.x(lam)
-is strictly decreasing in lam, so the root is unique.
+is strictly decreasing in lam, so the root is unique. Demand shares no code
+with the dynamics; the corresponding price q = e * s / x uses its share kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     PriceNotDominated,
     ToleranceNotReached,
 )
-from .utilities import CES, CobbDouglas, SeparablePower, UtilitySpec, eval_gradient
+from .utilities import CES, CobbDouglas, SeparablePower, UtilitySpec, bid_shares, eval_gradient
 
 _MAX_BRACKET = 200
 _MAX_BISECT = 200
@@ -110,13 +111,12 @@ def demand_separable_numeric(
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:
     """The unique price vector at which the strictly positive bundle x is optimal.
 
-    q_j = e * grad_j u(x) / sum_k x_k grad_k u(x); satisfies q.x = e exactly.
+    q_j = e * grad_j u(x) / sum_k x_k grad_k u(x) = e * bid_shares(u, x)_j / x_j.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise BoundaryBundle(f"corresponding price needs a strictly positive bundle, got {x}")
-    g = eval_gradient(u, x)
-    return e * g / float(x @ g)
+    return e * bid_shares(u, x) / x
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .demand import corresponding_price, demand
+from .demand import demand
 from .equilibrium import EquilibriumResult, TransformedEquilibrium
 from .errors import (
+    BoundaryBundle,
     InfeasibleAllocation,
     LengthMismatch,
     ModeMismatch,
@@ -24,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode
-from .utilities import UtilitySpec
+from .utilities import UtilitySpec, shares
 
 DEFAULT_SLACK = 1e-9
 
@@ -122,11 +123,10 @@ def lemma_33_check(
     col = alloc.sum(axis=0)
     if np.max(np.abs(col - 1.0)) > feas_tol:
         raise InfeasibleAllocation(f"column sums deviate from 1 by {np.max(np.abs(col - 1.0))}")
-    gap = 0.0
-    for i, u in enumerate(market.utilities):
-        q = corresponding_price(u, alloc[i], market.budgets[i])
-        gap += float(np.sum(eq.x_star[i] * eq.p_star * (np.log(eq.p_star) - np.log(q))))
-    return gap
+    if not np.all(alloc > 0):
+        raise BoundaryBundle("corresponding prices need a strictly positive allocation")
+    Q = market.budgets[:, None] * shares(*market.share_rows, alloc) / alloc
+    return float(np.sum(eq.x_star * eq.p_star * (np.log(eq.p_star) - np.log(Q))))
 
 
 def exchange_potential(

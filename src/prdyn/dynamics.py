@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRunControl, NonPositiveBid, UnderflowDetected
+from .errors import InvalidRunControl, NonPositiveBid, ShapeMismatch, UnderflowDetected
 from .market import (
     DynamicsTrace,
     ExchangeState,
@@ -25,7 +25,7 @@ from .market import (
     TraceRecord,
     income,
 )
-from .utilities import bid_shares
+from .utilities import shares
 
 # Bids this small mean the dynamics is heading into a boundary allocation,
 # where the potential-function bookkeeping is no longer trustworthy.
@@ -44,21 +44,26 @@ class StopRule:
             raise InvalidRunControl(f"price_tol must be nonnegative, got {self.price_tol}")
 
 
+def _check_bids(market: MarketSpec, bids: np.ndarray):
+    """Entry check on outside bids; _step keeps its bids >= BID_FLOOR."""
+    if bids.shape != (market.n_buyers, market.n_goods):
+        raise ShapeMismatch(f"bids shape {bids.shape}, market {market.n_buyers}x{market.n_goods}")
+    if not np.all(np.isfinite(bids) & (bids > 0)):
+        raise NonPositiveBid("bid matrix must be finite and strictly positive")
+
+
 def _step(market: MarketSpec, bids: np.ndarray, B: np.ndarray, iteration: int):
     """The one PR map on state (bids, B). Returns (p, x, B', e', b') where p
     and x belong to the current iteration."""
-    if not np.all(bids > 0):
-        raise NonPositiveBid(f"bid matrix must be strictly positive at iteration {iteration}")
     alpha = 1.0 if market.mode is Mode.FISHER else market.laziness
     p = bids.sum(axis=0)
     x = bids / p
     B_next = (1.0 - alpha) * B + income(market, p)
     e_next = alpha * B_next
-    shares = np.stack([bid_shares(u, x[i]) for i, u in enumerate(market.utilities)])
-    b_next = e_next[:, None] * shares
-    if b_next.min() < BID_FLOOR:
+    b_next = e_next[:, None] * shares(*market.share_rows, x)
+    if not (b_next.min() >= BID_FLOOR):
         raise UnderflowDetected(
-            f"bid below {BID_FLOOR} at iteration {iteration + 1}; "
+            f"bid below {BID_FLOOR} or NaN at iteration {iteration + 1}; "
             "the dynamics is approaching a boundary allocation"
         )
     return p, x, B_next, e_next, b_next
@@ -67,12 +72,14 @@ def _step(market: MarketSpec, bids: np.ndarray, B: np.ndarray, iteration: int):
 def pr_step(market: MarketSpec, state: FisherState):
     """One Fisher PR iteration; returns (next_state, prices, allocation), where
     prices and allocation are computed from state.bids."""
+    _check_bids(market, state.bids)
     p, x, _, _, b_next = _step(market, state.bids, market.budgets, state.iteration)
     return FisherState(bids=b_next, iteration=state.iteration + 1), p, x
 
 
 def lazy_step(market: MarketSpec, state: ExchangeState):
     """One lazy-PR iteration; returns (next_state, prices, allocation)."""
+    _check_bids(market, state.bids)
     p, x, B_next, e_next, b_next = _step(market, state.bids, state.budgets_B, state.iteration)
     next_state = ExchangeState(
         budgets_B=B_next, spend_e=e_next, bids=b_next, iteration=state.iteration + 1
@@ -102,6 +109,7 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     record_every-th iteration is recorded, plus always the final one."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
+    _check_bids(market, bids)
     exchange = market.mode is Mode.EXCHANGE
     trace = DynamicsTrace(mode=market.mode)
     prev = None

@@ -4,6 +4,7 @@ The oracle deliberately shares no machinery with the proportional-response
 iteration: it runs a damped multiplicative excess-demand fixed point
 p <- p * z^gamma (z = aggregate demand at unit supply), which only needs the
 demand oracles. Cobb-Douglas Fisher markets use the closed form instead.
+From the share rows it takes only the Cobb-Douglas weights and the KKT residual.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import corresponding_price, demand
+from .demand import demand
 from .errors import ModeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
-from .utilities import CobbDouglas
+from .utilities import shares
 
 DEFAULT_DAMPING = 0.3
 
@@ -50,10 +51,8 @@ def _finish(market: MarketSpec, p: np.ndarray, converged: bool, iters: int) -> E
     budget_gap = float(np.max(np.abs(b.sum(axis=1) - e) / e))
     # KKT residual: the corresponding price of each buyer's bundle should be
     # the market price.
-    opt = 0.0
-    for i, u in enumerate(market.utilities):
-        q = corresponding_price(u, x[i], e[i])
-        opt = max(opt, float(np.max(np.abs(q - p) / p)))
+    Q = e[:, None] * shares(*market.share_rows, x) / x
+    opt = float(np.max(np.abs(Q - p) / p))
     return EquilibriumResult(
         x_star=x,
         p_star=p,
@@ -87,9 +86,9 @@ def solve_fisher_eq(
     damping: float = DEFAULT_DAMPING,
 ) -> EquilibriumResult:
     _require_mode(market, Mode.FISHER)
-    if all(isinstance(u, CobbDouglas) for u in market.utilities):
-        A = np.stack([u.weights for u in market.utilities])
-        p = market.budgets @ A
+    C, R = market.share_rows
+    if not R.any():  # all Cobb-Douglas: each buyer spends the fixed shares c
+        p = market.budgets @ C
         return _finish(market, p, converged=True, iters=0)
     return _tatonnement(market, float(market.budgets.sum()), tol, max_iters, damping)
 

@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveBudget,
     UtilityParamInvalid,
 )
-from .utilities import UtilitySpec
+from .utilities import UtilitySpec, share_row
 
 
 class Mode(Enum):
@@ -63,6 +63,12 @@ class MarketSpec:
         for i, goods in enumerate(self.endowments):
             O[i, list(goods)] = 1.0
         return O
+
+    @cached_property
+    def share_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """n x m arrays (C, R); row i is buyer i's ``utilities.share_row``."""
+        C, R = zip(*(share_row(u) for u in self.utilities))
+        return np.stack(C), np.stack(R)
 
 
 def income(market: MarketSpec, p: np.ndarray) -> np.ndarray:

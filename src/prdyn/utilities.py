@@ -3,13 +3,15 @@
 All three are strictly concave, strictly increasing on the positive orthant,
 gross substitutes, and have normal goods. Cobb-Douglas and CES are homogeneous
 of degree one; separable power with heterogeneous exponents is not, which is
-exactly the case the rest of the package is built to exercise.
+exactly the case the rest of the package is built to exercise. For each
+family x_j * grad_j u(x) is proportional to c_j x_j^{r_j}, so the dynamics
+sees a utility only through its share row (c, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -20,8 +22,8 @@ def _positive_weights(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise UtilityParamInvalid(f"weights must be a nonempty 1-d vector, got shape {a.shape}")
-    if not np.all(a > 0):
-        raise UtilityParamInvalid(f"all weights must be strictly positive, got {a}")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise UtilityParamInvalid(f"all weights must be finite and strictly positive, got {a}")
     return a
 
 
@@ -124,17 +126,21 @@ def eval_gradient(u: UtilitySpec, x) -> np.ndarray:
     return u.weights * u.exponents * x ** (u.exponents - 1.0)
 
 
-def bid_shares(u: UtilitySpec, x) -> np.ndarray:
-    """Simplex vector proportional to x_j * grad_j u(x).
-
-    For Cobb-Douglas this is the (normalized) weight vector regardless of x;
-    for CES it reduces to a_j x_j^rho / sum_k a_k x_k^rho.
-    """
-    x = _check_bundle(u, x)
+def share_row(u: UtilitySpec) -> Tuple[np.ndarray, np.ndarray]:
+    """(c, r) such that x_j * grad_j u(x) is proportional to c_j x_j^{r_j}."""
     if isinstance(u, CobbDouglas):
-        return u.weights.copy()
+        return u.weights, np.zeros_like(u.weights)
     if isinstance(u, CES):
-        t = u.weights * x ** u.rho
-    else:
-        t = u.weights * u.exponents * x ** u.exponents
-    return t / t.sum()
+        return u.weights, np.full_like(u.weights, u.rho)
+    return u.weights * u.exponents, u.exponents
+
+
+def shares(C: np.ndarray, R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row-wise bid shares t / sum(t), t = C * X**R, of strictly positive X."""
+    t = C * X ** R
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+def bid_shares(u: UtilitySpec, x) -> np.ndarray:
+    """Simplex vector proportional to x_j * grad_j u(x)."""
+    return shares(*share_row(u), _check_bundle(u, x))

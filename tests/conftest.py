@@ -15,8 +15,13 @@ def random_utility(family, m, rng):
     return SeparablePower(weights=w, exponents=rng.uniform(0.2, 0.8, size=m))
 
 
+def buyer_families(family, n):
+    """One family name for every buyer, or a list of n per-buyer names."""
+    return [family] * n if isinstance(family, str) else list(family)
+
+
 def random_fisher_market(family, n, m, rng):
-    utilities = tuple(random_utility(family, m, rng) for _ in range(n))
+    utilities = tuple(random_utility(f, m, rng) for f in buyer_families(family, n))
     budgets = rng.uniform(0.5, 2.0, size=n)
     return validate_market(
         MarketSpec(n_buyers=n, n_goods=m, utilities=utilities, mode=Mode.FISHER, budgets=budgets)

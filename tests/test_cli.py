@@ -146,6 +146,18 @@ class TestRun:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
 
+    def test_infinite_weight_is_error(self, tmp_path, capsys):
+        mfile = tmp_path / "m.json"
+        write_json(mfile, {
+            "mode": "fisher", "goods": 2,
+            "buyers": [{"budget": 1.0,
+                        "utility": {"family": "cobb_douglas", "weights": [float("inf"), 1.0]}}],
+        })
+        assert "Infinity" in mfile.read_text()
+        code = main(["run", "--market", str(mfile), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UtilityParamInvalid"
+
     def test_batch_keeps_exchange_laziness(self, tmp_path):
         mfile = tmp_path / "m.json"
         main([

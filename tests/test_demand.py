@@ -111,6 +111,8 @@ class TestCorrespondingPrice:
             x = rng.uniform(0.1, 2.0, m)
             e = float(rng.uniform(0.5, 2.0))
             q = corresponding_price(u, x, e)
+            g = eval_gradient(u, x)
+            assert np.allclose(q, e * g / (x @ g), rtol=1e-12, atol=0.0)
             back = demand(u, q, e).x
             assert np.max(np.abs(back - x)) <= 1e-8
 

@@ -16,7 +16,7 @@ from prdyn import (
     transform_exchange_equilibrium,
     validate_market,
 )
-from conftest import random_utility
+from conftest import buyer_families, random_utility
 
 
 def symmetric_market():
@@ -33,7 +33,7 @@ def symmetric_market():
 
 
 def random_exchange_market(family, n, m, rng, alpha_lo=0.3, alpha_hi=0.7):
-    utilities = tuple(random_utility(family, m, rng) for _ in range(n))
+    utilities = tuple(random_utility(f, m, rng) for f in buyer_families(family, n))
     goods = rng.permutation(m)
     owner = np.empty(m, dtype=int)
     owner[goods[:n]] = np.arange(n)

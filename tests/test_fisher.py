@@ -3,18 +3,22 @@ import pytest
 
 from prdyn import (
     CES,
+    ExchangeState,
     FisherState,
     MarketSpec,
     Mode,
     StopRule,
     default_initial_bids,
+    lazy_step,
     pr_step,
+    run_exchange,
     run_fisher,
     solve_fisher_eq,
     validate_market,
 )
 from prdyn.errors import NonPositiveBid
 from conftest import FAMILIES, cobb_douglas_2x2, random_fisher_market
+from test_exchange import symmetric_market
 
 
 def ces_market(rng, n=3, m=4):
@@ -54,9 +58,18 @@ class TestPrStep:
             assert np.max(np.abs(state.bids[i] - expected)) <= 1e-14
 
     def test_nonpositive_bid_rejected(self, rng):
-        market = cobb_douglas_2x2()
-        with pytest.raises(NonPositiveBid):
-            pr_step(market, FisherState(bids=np.array([[0.5, 0.5], [0.0, 1.0]])))
+        market, exchange = cobb_douglas_2x2(), symmetric_market()
+        for bad in (0.0, np.nan, np.inf):
+            bids = np.array([[0.5, 0.5], [bad, 1.0]])
+            init = ExchangeState(budgets_B=[0.5, 0.5], spend_e=[0.25, 0.25], bids=bids)
+            for call in (
+                lambda: pr_step(market, FisherState(bids=bids)),
+                lambda: lazy_step(exchange, init),
+                lambda: run_fisher(market, bids, StopRule(10)),
+                lambda: run_exchange(exchange, init, StopRule(10)),
+            ):
+                with pytest.raises(NonPositiveBid):
+                    call()
 
 
 class TestStopRule:

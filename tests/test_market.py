@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prdyn import CES, CobbDouglas, MarketSpec, Mode, validate_market
+from prdyn import CES, CobbDouglas, MarketSpec, Mode, SeparablePower, validate_market
 from prdyn.errors import (
     EndowmentNotPartition,
     LazinessOutOfRange,
@@ -31,6 +31,17 @@ def test_nonpositive_weight_rejected():
         CobbDouglas(weights=[0.5, -0.5])
     with pytest.raises(UtilityParamInvalid):
         CES(weights=[0.0, 1.0], rho=0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: CobbDouglas(weights=w),
+    lambda w: CES(weights=w, rho=0.5),
+    lambda w: SeparablePower(weights=w, exponents=[0.5, 0.5]),
+], ids=["cobb_douglas", "ces", "separable_power"])
+def test_nonfinite_weight_rejected(make):
+    for bad in (np.inf, np.nan):
+        with pytest.raises(UtilityParamInvalid, match="finite"):
+            make([bad, 1.0])
 
 
 def test_overlapping_endowments_rejected():

@@ -1,20 +1,25 @@
-"""Demand oracles per utility family, and the corresponding-price map.
+"""Demand oracles for all utility families, and the corresponding-price map.
 
-Cobb-Douglas and CES demands are closed form. Separable power demand solves
-the budget constraint for the KKT multiplier by bisection: spending p.x(lam)
-is strictly decreasing in lam, so the root is unique. Demand shares no code
-with the dynamics; the corresponding price q = e * s / x uses its share kernel.
+For every family the interior KKT condition reads k_j x_j^{r_j - 1} = lam p_j
+(Cobb-Douglas k = a, r = 0; CES k = a, r = rho, up to a positive factor on
+lam; separable power k = a * rho, r = rho), so x_j = exp(beta_j (t + log p_j
+- log k_j)) with beta = 1 / (r - 1) < 0 and t = log lam. One kernel solves the
+budget constraint for t by Newton in log lam over all buyers at once:
+log(p . x(t)) - log e is convex and strictly decreasing in t, so Newton
+converges from any start, and it is exact after one step on a row with a
+constant exponent. Demand shares no code with the dynamics; the corresponding
+price q = e * s / x uses its share kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     BoundaryBundle,
-    BracketingFailure,
     BudgetNotDominated,
     NonPositiveBudget,
     NonPositivePrice,
@@ -23,8 +28,7 @@ from .errors import (
 )
 from .utilities import CES, CobbDouglas, SeparablePower, UtilitySpec, bid_shares, eval_gradient
 
-_MAX_BRACKET = 200
-_MAX_BISECT = 200
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -41,71 +45,64 @@ def _check_price(p) -> np.ndarray:
     return p
 
 
+def _kkt_row(u: UtilitySpec) -> Tuple[np.ndarray, np.ndarray]:
+    if isinstance(u, CobbDouglas):
+        return np.log(u.weights), np.full_like(u.weights, -1.0)
+    if isinstance(u, CES):
+        return np.log(u.weights), np.full_like(u.weights, 1.0 / (u.rho - 1.0))
+    return np.log(u.weights * u.exponents), 1.0 / (u.exponents - 1.0)
+
+
+def kkt_rows(utilities: Sequence[UtilitySpec]) -> Tuple[np.ndarray, np.ndarray]:
+    """n x m arrays (log k, beta); row i gives buyer i's demand
+    x_j = exp(beta_j (t + log p_j - log k_j)) at multiplier t = log lam."""
+    log_k, beta = zip(*(_kkt_row(u) for u in utilities))
+    return np.stack(log_k), np.stack(beta)
+
+
+def demand_rows(
+    rows: Tuple[np.ndarray, np.ndarray], p: np.ndarray, e: np.ndarray, tol: float = 1e-12
+) -> np.ndarray:
+    """Every buyer's demand at once: row i spends e[i] at prices p to relative
+    tolerance tol. p and e must be strictly positive. A demand too large for a
+    float comes back as inf."""
+    log_k, beta = rows
+    log_p = np.log(p)
+    log_e = np.log(e)[:, None]
+    # w[i, j] is the log of buyer i's spending on good j, here at t = 0.
+    # Newton moves w itself rather than t, so the entries that carry the
+    # spending stay moderate and round far below tol even at extreme prices.
+    w = log_p + beta * (log_p - log_k)
+    bound = np.log1p(tol)  # |g| <= log1p(tol) implies |expm1(g)| <= tol
+    for _ in range(_MAX_NEWTON):
+        top = w.max(axis=1, keepdims=True)
+        E = np.exp(w - top)  # shifted by the row max: no overflow
+        S = E.sum(axis=1, keepdims=True)
+        g = top + np.log(S) - log_e  # log(spending / e)
+        w -= beta * (g * S / (beta * E).sum(axis=1, keepdims=True))
+        if np.abs(g).max() <= bound:
+            # The step just taken is one more than tol needs; it leaves the
+            # spending error at the rounding level.
+            with np.errstate(over="ignore"):
+                return np.exp(w - log_p)
+    raise ToleranceNotReached(
+        f"Newton did not reach relative tolerance {tol} in {_MAX_NEWTON} steps"
+    )
+
+
 def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
     """Utility-maximizing bundle under budget e at prices p."""
     p = _check_price(p)
     e = float(e)
     if e <= 0:
         raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
-    if isinstance(u, CobbDouglas):
-        x = e * u.weights / p
-        lam = float(eval_gradient(u, x)[0] / p[0])
-        return DemandResult(x=x, spent=float(p @ x), lam=lam)
-    if isinstance(u, CES):
-        sigma = 1.0 / (1.0 - u.rho)
-        a_s = u.weights ** sigma
-        denom = np.sum(a_s * p ** (1.0 - sigma))
-        x = e * a_s * p ** (-sigma) / denom
-        lam = float(eval_gradient(u, x)[0] / p[0])
-        return DemandResult(x=x, spent=float(p @ x), lam=lam)
-    return demand_separable_numeric(u, p, e, tol)
+    x = demand_rows(kkt_rows([u]), p, np.array([e]), tol)[0]
+    return DemandResult(x=x, spent=float(p @ x), lam=float(eval_gradient(u, x)[0] / p[0]))
 
 
-def _separable_bundle(u: SeparablePower, p: np.ndarray, lam) -> np.ndarray:
-    # Interior KKT: a_j rho_j x_j^{rho_j - 1} = lam p_j.
-    lam = np.asarray(lam, dtype=float)
-    base = lam[..., None] * p / (u.weights * u.exponents)
-    return base ** (1.0 / (u.exponents - 1.0))
-
-
-def demand_separable_numeric(
-    u: SeparablePower, p, e: float, tol: float = 1e-12
-) -> DemandResult:
-    p = _check_price(p)
-    e = float(e)
-    if e <= 0:
-        raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
-
-    def spending(lam: float) -> float:
-        return float(p @ _separable_bundle(u, p, lam))
-
-    lo = hi = 1.0
-    for _ in range(_MAX_BRACKET):
-        if spending(lo) > e:
-            break
-        lo *= 0.5
-    else:
-        raise BracketingFailure("could not bracket the multiplier from below")
-    for _ in range(_MAX_BRACKET):
-        if spending(hi) < e:
-            break
-        hi *= 2.0
-    else:
-        raise BracketingFailure("could not bracket the multiplier from above")
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        s = spending(mid)
-        if abs(s - e) <= tol * e:
-            x = _separable_bundle(u, p, mid)
-            return DemandResult(x=x, spent=s, lam=mid)
-        if s > e:
-            lo = mid
-        else:
-            hi = mid
-    raise ToleranceNotReached(
-        f"bisection did not reach relative tolerance {tol} in {_MAX_BISECT} steps"
-    )
+def demand_separable_numeric(u: SeparablePower, p, e: float, tol: float = 1e-12) -> DemandResult:
+    """Separable-power demand; the same one-row Newton kernel as ``demand``."""
+    return demand(u, p, e, tol)
 
 
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:

@@ -3,8 +3,11 @@
 The oracle deliberately shares no machinery with the proportional-response
 iteration: it runs a damped multiplicative excess-demand fixed point
 p <- p * z^gamma (z = aggregate demand at unit supply), which only needs the
-demand oracles. Cobb-Douglas Fisher markets use the closed form instead.
-From the share rows it takes only the Cobb-Douglas weights and the KKT residual.
+demand kernel; each step solves every buyer's budget multiplier at once by
+Newton in log lam. Cobb-Douglas Fisher markets use the closed form instead.
+The iteration stops with converged=False when a step would leave the prices
+or the demand non-finite or a price zero. From the share rows it takes only
+the Cobb-Douglas weights and the KKT residual.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import demand
+from .demand import _check_price, demand_rows, kkt_rows
 from .errors import ModeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
 from .utilities import shares
@@ -38,21 +41,28 @@ def _require_mode(market: MarketSpec, mode: Mode):
         raise ModeMismatch(f"expected a {mode.value} market, got {market.mode.value}")
 
 
-def _aggregate_demand(market: MarketSpec, p: np.ndarray) -> np.ndarray:
-    e = income(market, p)
-    return np.stack([demand(u, p, e[i]).x for i, u in enumerate(market.utilities)])
+def _aggregate_demand(rows, market: MarketSpec, p: np.ndarray) -> np.ndarray:
+    return demand_rows(rows, p, income(market, p))
 
 
-def _finish(market: MarketSpec, p: np.ndarray, converged: bool, iters: int) -> EquilibriumResult:
-    x = _aggregate_demand(market, p)
+def _worst(residuals: np.ndarray) -> float:
+    """Largest residual; inf when any is non-finite."""
+    worst = float(np.max(residuals))
+    return np.inf if np.isnan(worst) else worst
+
+
+def _finish(
+    market: MarketSpec, p: np.ndarray, x: np.ndarray, converged: bool, iters: int
+) -> EquilibriumResult:
     e = income(market, p)
     b = x * p
-    clearing = float(np.max(np.abs(x.sum(axis=0) - 1.0)))
-    budget_gap = float(np.max(np.abs(b.sum(axis=1) - e) / e))
-    # KKT residual: the corresponding price of each buyer's bundle should be
-    # the market price.
-    Q = e[:, None] * shares(*market.share_rows, x) / x
-    opt = float(np.max(np.abs(Q - p) / p))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        clearing = _worst(np.abs(x.sum(axis=0) - 1.0))
+        budget_gap = _worst(np.abs(b.sum(axis=1) - e) / e)
+        # KKT residual: the corresponding price of each buyer's bundle should
+        # be the market price; a bundle on the boundary has none.
+        Q = e[:, None] * shares(*market.share_rows, x) / x
+        opt = _worst(np.abs(Q - p) / p)
     return EquilibriumResult(
         x_star=x,
         p_star=p,
@@ -68,15 +78,26 @@ def _finish(market: MarketSpec, p: np.ndarray, converged: bool, iters: int) -> E
 def _tatonnement(
     market: MarketSpec, total: float, tol: float, max_iters: int, damping: float
 ) -> EquilibriumResult:
-    """Damped multiplicative excess-demand iteration on prices that sum to total."""
+    """Damped multiplicative excess-demand iteration on prices that sum to total.
+
+    Stops with converged=False at the last valid iterate when the next one has
+    a zero or non-finite price or a non-finite demand."""
+    rows = kkt_rows(market.utilities)
     p = np.full(market.n_goods, total / market.n_goods)
+    x = _aggregate_demand(rows, market, p)
     for it in range(1, max_iters + 1):
-        z = _aggregate_demand(market, p).sum(axis=0)
+        z = x.sum(axis=0)
         if np.max(np.abs(z - 1.0)) <= tol:
-            return _finish(market, p, converged=True, iters=it)
-        p = p * z ** damping
-        p *= total / p.sum()
-    return _finish(market, p, converged=False, iters=max_iters)
+            return _finish(market, p, x, converged=True, iters=it)
+        p_next = p * z ** damping
+        p_next *= total / p_next.sum()
+        if not np.all(np.isfinite(p_next) & (p_next > 0)):
+            return _finish(market, p, x, converged=False, iters=it)
+        x_next = _aggregate_demand(rows, market, p_next)
+        if not np.all(np.isfinite(x_next)):
+            return _finish(market, p, x, converged=False, iters=it)
+        p, x = p_next, x_next
+    return _finish(market, p, x, converged=False, iters=max_iters)
 
 
 def solve_fisher_eq(
@@ -89,7 +110,8 @@ def solve_fisher_eq(
     C, R = market.share_rows
     if not R.any():  # all Cobb-Douglas: each buyer spends the fixed shares c
         p = market.budgets @ C
-        return _finish(market, p, converged=True, iters=0)
+        x = _aggregate_demand(kkt_rows(market.utilities), market, p)
+        return _finish(market, p, x, converged=True, iters=0)
     return _tatonnement(market, float(market.budgets.sum()), tol, max_iters, damping)
 
 
@@ -114,7 +136,7 @@ class EquilibriumReport:
 
 def _verify(market: MarketSpec, x, p: np.ndarray, tol: float) -> EquilibriumReport:
     x = np.asarray(x, dtype=float)
-    xd = _aggregate_demand(market, p)
+    xd = _aggregate_demand(kkt_rows(market.utilities), market, _check_price(p))
     col = x.sum(axis=0)
     demand_residual = float(np.max(np.abs(x - xd)))
     oversell = float(max(np.max(col - 1.0), 0.0))

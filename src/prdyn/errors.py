@@ -41,10 +41,6 @@ class BoundaryBundle(PrdynError):
     pass
 
 
-class BracketingFailure(PrdynError):
-    pass
-
-
 class ToleranceNotReached(PrdynError):
     pass
 

@@ -8,6 +8,7 @@ import pytest
 from prdyn import Mode
 from prdyn.cli import generate_market, load_market, main, read_trace, write_market
 from prdyn.errors import ParseError, UtilityParamInvalid
+from test_equilibrium import near_linear_fisher_market
 
 
 def write_json(path, doc):
@@ -82,6 +83,17 @@ class TestGen:
         generate_market(3, 4, "ces", seed=7)
         generate_market(1, 1, "separable_power", seed=0)
         generate_market(2, 3, "cobb_douglas", seed=9, mode=Mode.EXCHANGE)
+
+
+class TestSolve:
+    def test_diverging_oracle_exits_one(self, tmp_path):
+        mfile = tmp_path / "m.json"
+        write_market(near_linear_fisher_market("ces", 1), mfile)
+        out = tmp_path / "sol"
+        assert main(["solve", "--market", str(mfile), "--out", str(out)]) == 1
+        doc = json.loads((out / "equilibrium.json").read_text())
+        assert doc["converged"] is False
+        assert all(np.isfinite(doc["p_star"])) and min(doc["p_star"]) > 0
 
 
 class TestRun:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from prdyn import (
     CobbDouglas,
     MarketSpec,
     Mode,
+    SeparablePower,
     corresponding_price,
     demand,
     solve_exchange_eq,
@@ -142,3 +145,118 @@ class TestVerifyExchange:
         eq = solve_exchange_eq(market, tol=1e-12)
         x_bad = eq.x_star[[1, 0, 2]]
         assert not verify_exchange_equilibrium(market, x_bad, eq.p_star, tol=1e-6).passed
+
+
+# ---------------------------------------------------------------------------
+# oracle stress set: the oracle converges and verifies, or says it did not
+# ---------------------------------------------------------------------------
+
+STRESS_ITERS = 300
+
+
+def _weights(m, rng, lo=0.1, hi=10.0):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
+
+
+def _family(i, w, rng):
+    """Buyer i's utility with weights w; the family cycles with i."""
+    if i % 3 == 0:
+        return CobbDouglas(w)
+    if i % 3 == 1:
+        return CES(w, rho=float(rng.uniform(0.2, 0.8)))
+    return SeparablePower(w, rng.uniform(0.2, 0.8, size=w.size))
+
+
+def _ces(rho):
+    return lambda i, m, rng: CES(_weights(m, rng), rho)
+
+
+def _cycled(lo=0.1, hi=10.0):
+    return lambda i, m, rng: _family(i, _weights(m, rng, lo, hi), rng)
+
+
+def _extreme_exponents(i, m, rng):
+    return SeparablePower(_weights(m, rng), rng.choice([0.02, 0.98], m))
+
+
+def _any_family(i, m, rng):
+    return _family(int(rng.integers(3)), _weights(m, rng), rng)
+
+
+# name: (n, m, utility of buyer i, Fisher budget range)
+STRESS = {
+    "ces_rho_0.02": (3, 4, _ces(0.02), (0.5, 2.0)),
+    "ces_rho_0.98": (3, 4, _ces(0.98), (0.5, 2.0)),
+    "weights_1e-6_1e6": (3, 4, _cycled(1e-6, 1e6), (0.5, 2.0)),
+    "exponents_0.02_0.98": (3, 4, _extreme_exponents, (0.5, 2.0)),
+    "one_good_one_agent": (1, 1, _any_family, (0.5, 2.0)),
+    "budgets_1e-3_1e3": (4, 4, _cycled(), (1e-3, 1e3)),
+}
+
+
+def stress_market(name, mode, seed):
+    n, m, utility, (lo, hi) = STRESS[name]
+    rng = np.random.default_rng([zlib.crc32(name.encode()), seed])
+    utilities = tuple(utility(i, m, rng) for i in range(n))
+    if mode is Mode.FISHER:
+        return validate_market(MarketSpec(
+            n_buyers=n, n_goods=m, utilities=utilities, mode=mode,
+            budgets=_weights(n, rng, lo, hi),
+        ))
+    goods = rng.permutation(m)
+    owner = np.concatenate([np.arange(n), rng.integers(0, n, size=m - n)])
+    endow = tuple(tuple(int(j) for j in goods[owner == i]) for i in range(n))
+    return validate_market(MarketSpec(
+        n_buyers=n, n_goods=m, utilities=utilities, mode=mode,
+        endowments=endow, laziness=np.full(n, 0.5),
+    ))
+
+
+def assert_converged_or_reported(market, eq):
+    """Either a verified equilibrium, or converged=False at a finite, strictly
+    positive price vector; residuals are never NaN."""
+    assert not np.isnan([eq.clearing, eq.optimality_gap, eq.budget_gap]).any()
+    if eq.converged:
+        verify = (verify_fisher_equilibrium if market.mode is Mode.FISHER
+                  else verify_exchange_equilibrium)
+        assert verify(market, eq.x_star, eq.p_star, tol=1e-8).passed
+    else:
+        assert np.all(np.isfinite(eq.p_star) & (eq.p_star > 0))
+
+
+@pytest.mark.parametrize("name", [n for n in STRESS if n != "budgets_1e-3_1e3"])
+def test_exchange_oracle_stress(name):
+    for seed in range(3):
+        market = stress_market(name, Mode.EXCHANGE, seed)
+        assert_converged_or_reported(market, solve_exchange_eq(market, max_iters=STRESS_ITERS))
+
+
+@pytest.mark.parametrize("name", list(STRESS))
+def test_fisher_oracle_stress(name):
+    for seed in range(3):
+        market = stress_market(name, Mode.FISHER, seed)
+        assert_converged_or_reported(market, solve_fisher_eq(market, max_iters=STRESS_ITERS))
+
+
+def near_linear_fisher_market(family, seed):
+    """3 x 4 Fisher market with CES rho = 0.98, or separable power with
+    exponents drawn from {0.02, 0.98}: demand reacts to a price move with
+    an elasticity up to 50, which the damped iteration cannot follow."""
+    rng = np.random.default_rng(seed)
+    utility = _ces(0.98) if family == "ces" else _extreme_exponents
+    utilities = tuple(utility(i, 4, rng) for i in range(3))
+    return validate_market(MarketSpec(
+        n_buyers=3, n_goods=4, utilities=utilities, mode=Mode.FISHER,
+        budgets=rng.uniform(0.5, 2.0, 3),
+    ))
+
+
+@pytest.mark.parametrize("family, seed", [("ces", 1), ("separable_power", 9)])
+def test_diverging_tatonnement_reports_nonconvergence(family, seed):
+    # Within a few steps a price heads to 0 or a demand overflows; the oracle
+    # must stop there and report it, not raise.
+    market = near_linear_fisher_market(family, seed)
+    eq = solve_fisher_eq(market, max_iters=STRESS_ITERS)
+    assert not eq.converged
+    assert eq.iterations < STRESS_ITERS
+    assert_converged_or_reported(market, eq)

@@ -1,6 +1,6 @@
 """Property-based tests of the bid-share kernel and one dynamics step on
-mixed-family markets. Derandomized, so every process draws the same
-instances."""
+mixed-family markets, and of demand over all families. Derandomized, so
+every process draws the same instances."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from prdyn import (
     Mode,
     SeparablePower,
     corresponding_price,
+    demand,
     lazy_step,
     pr_step,
     validate_market,
@@ -102,3 +103,35 @@ def test_corresponding_price_spends_the_budget(drawn):
     for u, x, e in zip(market.utilities, X, market.budgets):
         q = corresponding_price(u, x, e)
         assert abs(q @ x - e) <= 1e-12 * e
+
+
+@st.composite
+def demand_problems(draw):
+    """A utility of any family on m in 1..6 goods, prices p and a budget e."""
+    m = draw(st.integers(1, 6))
+    return draw(_utilities(m)), draw(_vectors(m, 1e-2, 1e2)), draw(st.floats(1e-2, 1e2))
+
+
+@PROPERTY
+@given(demand_problems())
+def test_demand_spends_the_budget(problem):
+    u, p, e = problem
+    assert abs(p @ demand(u, p, e).x - e) <= 1e-12 * e
+
+
+@PROPERTY
+@given(demand_problems())
+def test_corresponding_price_of_demand_is_the_price(problem):
+    # The share kernel is independent of the demand kernel, so this pins one
+    # to the other.
+    u, p, e = problem
+    q = corresponding_price(u, demand(u, p, e).x, e)
+    assert np.allclose(q, p, rtol=1e-9, atol=0.0)
+
+
+@PROPERTY
+@given(demand_problems(), st.floats(1e-3, 1e3))
+def test_demand_is_homogeneous_of_degree_zero(problem, c):
+    u, p, e = problem
+    x = demand(u, p, e).x
+    assert np.allclose(demand(u, c * p, c * e).x, x, rtol=1e-12, atol=0.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -247,6 +248,29 @@ class TestVerify:
         assert run_code == verify_code == expected
         run_doc = (run_out / "diagnostics.json").read_bytes()
         assert (verify_out / "diagnostics.json").read_bytes() == run_doc
+
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    def test_nan_bid_in_trace_is_error(self, tmp_path, capsys, mode):
+        mfile = tmp_path / "m.json"
+        main(["gen", "3", "4", "ces", "--mode", mode, "--seed", "4", "--out", str(mfile)])
+        run_out = tmp_path / "run"
+        assert main([
+            "run", "--market", str(mfile), "--max-iters", "300", "--price-tol", "0",
+            "--diagnostics", "--full-dump", "--out", str(run_out),
+        ]) == 0
+        trace_csv = run_out / "trace.csv"
+        with open(trace_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[len(rows) // 2][rows[0].index("b_1_1")] = "nan"
+        with open(trace_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        code = main([
+            "verify", "--market", str(mfile), "--trace", str(trace_csv),
+            "--out", str(tmp_path / "v"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NonPositiveEntry"
 
     def test_trace_round_trip_exact(self, tmp_path):
         mfile = tmp_path / "m.json"

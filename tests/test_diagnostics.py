@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from prdyn import (
     CES,
     CobbDouglas,
+    DynamicsTrace,
     StopRule,
+    bid_shares,
     check_avg_price_rate,
     check_exchange_potential_decrease,
     check_potential_decrease,
@@ -24,7 +28,9 @@ from prdyn import (
     solve_fisher_eq,
     transform_exchange_equilibrium,
 )
+from prdyn.diagnostics import BLOCK_ENTRIES
 from prdyn.errors import (
+    BoundaryBundle,
     InfeasibleAllocation,
     LengthMismatch,
     ModeMismatch,
@@ -52,6 +58,11 @@ class TestKlDivergence:
             kl_divergence([1.0], [1.0, 2.0])
         with pytest.raises(NonPositiveEntry):
             kl_divergence([1.0, 0.0], [1.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveEntry):
+                kl_divergence([1.0, 1.0], [1.0, bad])
+            with pytest.raises(NonPositiveEntry):
+                kl_divergence([bad, 1.0], [1.0, 1.0])
 
 
 class TestFisherPotential:
@@ -236,3 +247,177 @@ class TestDiagnoseFisher:
         trace = run_exchange(market, default_initial_exchange(market), StopRule(5))
         with pytest.raises(ModeMismatch):
             diagnose_fisher(trace, market, eq)
+
+
+class TestNonFiniteTrace:
+    """A non-finite entry in a replayed trace is an error, not a pass."""
+
+    def test_nan_bid_in_fisher_trace(self, rng):
+        market = random_fisher_market("ces", 3, 4, rng)
+        eq = solve_fisher_eq(market, tol=1e-12)
+        trace = run_fisher(market, default_initial_bids(market), StopRule(300, 0.0))
+        trace.records[150].bids[0, 0] = np.nan
+        with pytest.raises(NonPositiveEntry):
+            diagnose_fisher(trace, market, eq)
+
+    def test_nan_bid_in_exchange_trace(self, rng):
+        market = random_exchange_market("ces", 3, 4, rng)
+        transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
+        trace = run_exchange(market, default_initial_exchange(market), StopRule(300, 0.0))
+        trace.records[150].bids[0, 0] = np.nan
+        with pytest.raises(NonPositiveEntry):
+            check_exchange_potential_decrease(trace, transformed, market.laziness)
+
+    def test_fisher_trace_rejected_by_exchange_check(self, rng):
+        market = random_fisher_market("ces", 3, 4, rng)
+        trace = run_fisher(market, default_initial_bids(market), StopRule(5))
+        exchange = random_exchange_market("ces", 3, 4, rng)
+        transformed = transform_exchange_equilibrium(exchange, solve_exchange_eq(exchange))
+        with pytest.raises(ModeMismatch):
+            check_exchange_potential_decrease(trace, transformed, exchange.laziness)
+
+
+def _kl(a, b):
+    a, b = np.ravel(a), np.ravel(b)
+    return np.sum(a * np.log(a / b))
+
+
+def _violations(excess, slack):
+    return [(t, e) for t, e in enumerate(excess) if not e <= slack]
+
+
+def _assert_same_violations(got, expected):
+    assert [t for t, _ in got] == [t for t, _ in expected]
+    np.testing.assert_allclose([e for _, e in got], [e for _, e in expected], rtol=1e-12)
+
+
+def _block_records(market):
+    """Records per diagnostics block on this market."""
+    return BLOCK_ENTRIES // (market.n_buyers * market.n_goods)
+
+
+MIXED_8 = ["separable_power", "ces", "cobb_douglas"] * 2 + ["separable_power", "ces"]
+
+
+class TestBlockSeams:
+    """Traces several blocks long against per-record expressions written
+    here, so the block seams and the carried running sum are exercised."""
+
+    @pytest.fixture(scope="class")
+    def fisher_run(self):
+        rng = np.random.default_rng(2024)
+        market = random_fisher_market(MIXED_8, 8, 12, rng)
+        eq = solve_fisher_eq(market, tol=1e-12)
+        trace = run_fisher(market, default_initial_bids(market), StopRule(2500, 0.0))
+        assert len(trace.records) > 2 * _block_records(market)
+        return market, eq, trace
+
+    @pytest.fixture(scope="class")
+    def exchange_run(self):
+        rng = np.random.default_rng(2025)
+        market = random_exchange_market(MIXED_8, 8, 12, rng)
+        transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
+        trace = run_exchange(market, default_initial_exchange(market), StopRule(2500, 0.0))
+        assert len(trace.records) > 2 * _block_records(market)
+        return market, transformed, trace
+
+    @pytest.mark.parametrize("slack", [1e-9, -1e-7])
+    def test_exchange_potential_series(self, exchange_run, slack):
+        market, transformed, trace = exchange_run
+        w = (1.0 - market.laziness) / market.laziness
+        e_star = transformed.e_star
+        expected = [
+            _kl(transformed.b_star, r.bids) + np.sum(w * e_star * np.log(e_star / r.spend_e))
+            for r in trace.records
+        ]
+        report = check_exchange_potential_decrease(trace, transformed, market.laziness, slack)
+        np.testing.assert_allclose(report.potential_series, expected, rtol=1e-12)
+        excess = [expected[t + 1] - expected[t] for t in range(len(expected) - 1)]
+        _assert_same_violations(report.monotone_violations, _violations(excess, slack))
+        # a negative slack turns late, tiny decreases into reported violations
+        assert report.passed == (slack > 0)
+
+    @pytest.mark.parametrize("slack", [1e-9, -1e-12])
+    def test_fisher_potential_and_price_term(self, fisher_run, slack):
+        market, eq, trace = fisher_run
+        pot = [_kl(eq.b_star, r.bids) for r in trace.records]
+        price = [_kl(eq.p_star, r.prices) for r in trace.records]
+        report = check_potential_decrease(trace, eq, slack)
+        np.testing.assert_allclose(report.potential_series, pot, rtol=1e-12)
+        excess = [pot[t + 1] - (pot[t] - price[t]) for t in range(len(pot) - 1)]
+        _assert_same_violations(report.monotone_violations, _violations(excess, slack))
+        assert report.passed == (slack > 0)
+        assert all(type(t) is int and type(e) is float for t, e in report.monotone_violations)
+        assert all(type(v) is float for v in report.potential_series)
+
+    def test_avg_price_bound(self, fisher_run):
+        market, eq, trace = fisher_run
+        b0 = trace.records[0].bids
+        kl0 = _kl(eq.b_star, b0)
+        expected, running = [], np.zeros(market.n_goods)
+        for T, r in enumerate(trace.records, start=1):
+            running = running + r.prices
+            expected.append((T, _kl(eq.p_star, running / T), kl0 / T))
+        got = check_avg_price_rate(trace, eq, b0)
+        assert [T for T, _, _ in got] == [T for T, _, _ in expected]
+        np.testing.assert_allclose([g[1:] for g in got], [e[1:] for e in expected], rtol=1e-12)
+        report = diagnose_fisher(trace, market, eq)
+        assert report.avg_price_bound == got
+
+    def test_lemma_33_gaps(self, fisher_run):
+        market, eq, trace = fisher_run
+        gaps = []
+        for r in trace.records:
+            Q = np.array([
+                e * bid_shares(u, x) / x
+                for u, e, x in zip(market.utilities, market.budgets, r.allocation)
+            ])
+            gaps.append(np.sum(eq.x_star * eq.p_star * (np.log(eq.p_star) - np.log(Q))))
+        got = [lemma_33_check(market, eq, r.allocation) for r in trace.records]
+        np.testing.assert_allclose(got, gaps, rtol=1e-12, atol=1e-15)
+        report = diagnose_fisher(trace, market, eq)
+        assert report.lemma_gap_min == pytest.approx(min(gaps), rel=1e-12)
+        assert report.passed
+
+    @staticmethod
+    def _spoiled(trace, t, spoil):
+        """A copy of trace whose record t went through spoil."""
+        copy = DynamicsTrace(mode=trace.mode, records=list(trace.records))
+        copy.records[t] = spoil(dataclasses.replace(trace.records[t]))
+        return copy
+
+    def test_bad_record_in_second_block(self, fisher_run, exchange_run):
+        market, eq, trace = fisher_run
+        t = _block_records(market) + 100
+
+        def skip(r):
+            r.iteration += 1
+            return r
+
+        def inflate(r):
+            r.allocation = 1.5 * r.allocation
+            return r
+
+        def to_boundary(r):
+            x = r.allocation.copy()
+            x[1, 0] += x[0, 0]
+            x[0, 0] = 0.0
+            r.allocation = x
+            return r
+
+        gap = self._spoiled(trace, t, skip)
+        with pytest.raises(NonConsecutiveTrace):
+            check_potential_decrease(gap, eq)
+        with pytest.raises(NonConsecutiveTrace):
+            check_avg_price_rate(gap, eq, trace.records[0].bids)
+        with pytest.raises(NonConsecutiveTrace):
+            diagnose_fisher(gap, market, eq)
+        with pytest.raises(InfeasibleAllocation):
+            diagnose_fisher(self._spoiled(trace, t, inflate), market, eq)
+        with pytest.raises(BoundaryBundle):
+            diagnose_fisher(self._spoiled(trace, t, to_boundary), market, eq)
+
+        x_market, transformed, x_trace = exchange_run
+        x_gap = self._spoiled(x_trace, t, skip)
+        with pytest.raises(NonConsecutiveTrace):
+            check_exchange_potential_decrease(x_gap, transformed, x_market.laziness)

@@ -1,6 +1,7 @@
 """Property-based tests of the bid-share kernel and one dynamics step on
-mixed-family markets, and of demand over all families. Derandomized, so
-every process draws the same instances."""
+mixed-family markets, of demand over all families, and of the potential
+diagnostics along whole runs. Derandomized, so every process draws the same
+instances."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,13 +16,26 @@ from prdyn import (
     MarketSpec,
     Mode,
     SeparablePower,
+    StopRule,
+    check_exchange_potential_decrease,
     corresponding_price,
+    default_initial_bids,
+    default_initial_exchange,
     demand,
+    diagnose_fisher,
     lazy_step,
     pr_step,
+    run_exchange,
+    run_fisher,
+    solve_exchange_eq,
+    solve_fisher_eq,
+    transform_exchange_equilibrium,
     validate_market,
 )
 from prdyn.utilities import shares
+
+from conftest import FAMILIES, random_fisher_market
+from test_exchange import random_exchange_market
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -135,3 +149,40 @@ def test_demand_is_homogeneous_of_degree_zero(problem, c):
     u, p, e = problem
     x = demand(u, p, e).x
     assert np.allclose(demand(u, c * p, c * e).x, x, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def diagnosed_markets(draw, mode):
+    """A mixed-family market with n, m in 1..5 (n <= m in exchange mode,
+    where agent 0 has a separable-power utility) from the parameter ranges of
+    conftest.random_utility, the ones on which the equilibrium oracle is
+    trusted."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5 if mode is Mode.FISHER else m))
+    families = draw(st.lists(st.sampled_from(FAMILIES), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mode is Mode.FISHER:
+        return random_fisher_market(families, n, m, rng)
+    return random_exchange_market(["separable_power"] + families[1:], n, m, rng)
+
+
+@PROPERTY
+@given(diagnosed_markets(Mode.EXCHANGE))
+def test_lazy_pr_potential_is_nonincreasing(market):
+    eq = solve_exchange_eq(market, tol=1e-12)
+    assert eq.converged
+    transformed = transform_exchange_equilibrium(market, eq)
+    trace = run_exchange(market, default_initial_exchange(market), StopRule(200))
+    report = check_exchange_potential_decrease(trace, transformed, market.laziness, slack=1e-9)
+    assert report.passed, report.monotone_violations[:3]
+
+
+@PROPERTY
+@given(diagnosed_markets(Mode.FISHER))
+def test_fisher_run_passes_diagnostics(market):
+    eq = solve_fisher_eq(market, tol=1e-12)
+    assert eq.converged
+    trace = run_fisher(market, default_initial_bids(market), StopRule(20000, 1e-10))
+    assert trace.stop_reason == "price_tol"
+    report = diagnose_fisher(trace, market, eq)
+    assert report.passed, (report.monotone_violations[:3], report.lemma_gap_min)

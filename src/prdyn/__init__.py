@@ -8,7 +8,6 @@ from .demand import (
     check_normal_goods,
     corresponding_price,
     demand,
-    demand_separable_numeric,
 )
 from .diagnostics import (
     DiagnosticsReport,

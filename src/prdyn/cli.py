@@ -28,7 +28,7 @@ from .dynamics import (
     run_exchange,
     run_fisher,
 )
-from .errors import ParseError, PrdynError
+from .errors import NonPositiveEntry, ParseError, PrdynError
 from .market import DynamicsTrace, MarketSpec, Mode, TraceRecord, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
@@ -195,32 +195,45 @@ def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool 
             writer.writerow(row)
 
 
+def _finite_columns(row: dict, names: list, path) -> np.ndarray:
+    """The named entries of one trace row; NonPositiveEntry if any is not finite."""
+    values = np.array([float(row[name]) for name in names])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        name = names[bad[0]]
+        raise NonPositiveEntry(
+            f"{path}: {name} = {row[name]} at iteration {row['iteration']}; "
+            "trace entries must be finite"
+        )
+    return values
+
+
 def read_trace(path, market: MarketSpec) -> DynamicsTrace:
-    """Rebuild a trace from a --full-dump CSV."""
+    """Rebuild a trace from a --full-dump CSV. A non-finite price, bid,
+    allocation, bank balance or spending entry raises NonPositiveEntry."""
     n, m = market.n_buyers, market.n_goods
+    p_cols = [f"p_{j + 1}" for j in range(m)]
+    b_cols = [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+    x_cols = [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+    B_cols = [f"B_{i + 1}" for i in range(n)]
+    e_cols = [f"e_{i + 1}" for i in range(n)]
     trace = DynamicsTrace(mode=market.mode)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "b_1_1" not in reader.fieldnames:
             raise ParseError(f"{path}: trace has no bid columns; re-run with --full-dump")
         for row in reader:
-            bids = np.array(
-                [[float(row[f"b_{i + 1}_{j + 1}"]) for j in range(m)] for i in range(n)]
-            )
-            alloc = np.array(
-                [[float(row[f"x_{i + 1}_{j + 1}"]) for j in range(m)] for i in range(n)]
-            )
             rec = TraceRecord(
                 iteration=int(row["iteration"]),
-                prices=np.array([float(row[f"p_{j + 1}"]) for j in range(m)]),
-                bids=bids,
-                allocation=alloc,
+                prices=_finite_columns(row, p_cols, path),
+                bids=_finite_columns(row, b_cols, path).reshape(n, m),
+                allocation=_finite_columns(row, x_cols, path).reshape(n, m),
                 max_price_delta=float(row["max_price_delta"]),
                 potential_value=float(row["potential"]),
             )
             if market.mode is Mode.EXCHANGE:
-                rec.budgets_B = np.array([float(row[f"B_{i + 1}"]) for i in range(n)])
-                rec.spend_e = np.array([float(row[f"e_{i + 1}"]) for i in range(n)])
+                rec.budgets_B = _finite_columns(row, B_cols, path)
+                rec.spend_e = _finite_columns(row, e_cols, path)
                 trace.track_budget_drift(rec.budgets_B)
             trace.records.append(rec)
     trace.n_steps = trace.records[-1].iteration + 1 if trace.records else 0

@@ -26,7 +26,7 @@ from .errors import (
     PriceNotDominated,
     ToleranceNotReached,
 )
-from .utilities import CES, CobbDouglas, SeparablePower, UtilitySpec, bid_shares, eval_gradient
+from .utilities import CES, CobbDouglas, UtilitySpec, bid_shares, eval_gradient
 
 _MAX_NEWTON = 100
 
@@ -98,11 +98,6 @@ def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
         raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
     x = demand_rows(kkt_rows([u]), p, np.array([e]), tol)[0]
     return DemandResult(x=x, spent=float(p @ x), lam=float(eval_gradient(u, x)[0] / p[0]))
-
-
-def demand_separable_numeric(u: SeparablePower, p, e: float, tol: float = 1e-12) -> DemandResult:
-    """Separable-power demand; the same one-row Newton kernel as ``demand``."""
-    return demand(u, p, e, tol)
 
 
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:

@@ -30,17 +30,10 @@ from .errors import (
     NonPositivePrice,
     ShapeMismatch,
 )
-from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode
+from .market import BLOCK_ENTRIES, DynamicsTrace, ExchangeState, MarketSpec, Mode
 from .utilities import UtilitySpec, shares
 
 DEFAULT_SLACK = 1e-9
-
-# Floats of one n x m record field stacked at once. A block holds as many
-# records as fit in BLOCK_ENTRIES (at least one), so each stacked array stays
-# near 256 KB whatever the trace length or market size. A fixed record count
-# does not bound memory: blocks of 1024 records raised the peak memory of
-# `prdyn run --diagnostics` and `verify` on 60x60 Fisher markets by 16 %.
-BLOCK_ENTRIES = 1 << 15
 
 
 def _kl_rows(a: np.ndarray, B: np.ndarray, weights=None) -> np.ndarray:

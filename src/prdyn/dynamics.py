@@ -7,6 +7,17 @@ to x_j * grad_j u(x) on her received bundle. An exchange agent's income is
 the revenue of the goods she owns, and total money is conserved at 1. A
 Fisher market is the special case alpha = 1 with income equal to the fixed
 budget, so B' = e' = budgets exactly.
+
+``_pr_map`` resolves a market's constants (the share rows, alpha, 1 - alpha,
+the ownership matrix or the budgets) once, and ``pr_step``, ``lazy_step`` and
+the run driver ``_run`` all step through the map it returns. Each iteration of
+the driver runs only the map, its BID_FLOOR guard and, when the stop rule has
+a positive price_tol, the stop test. A TraceRecord is built only for a kept
+iteration. The rest is settled per block of steps that holds at most
+``BLOCK_ENTRIES`` floats: the budget drift over the bank balances of every
+step, recorded or not, and, when the stop test did not already compute it,
+the ``max_price_delta`` of the kept records. Every value is bit-identical to
+evaluating it step by step.
 """
 
 from __future__ import annotations
@@ -17,13 +28,13 @@ import numpy as np
 
 from .errors import InvalidRunControl, NonPositiveBid, ShapeMismatch, UnderflowDetected
 from .market import (
+    BLOCK_ENTRIES,
     DynamicsTrace,
     ExchangeState,
     FisherState,
     MarketSpec,
     Mode,
     TraceRecord,
-    income,
 )
 from .utilities import shares
 
@@ -45,42 +56,61 @@ class StopRule:
 
 
 def _check_bids(market: MarketSpec, bids: np.ndarray):
-    """Entry check on outside bids; _step keeps its bids >= BID_FLOOR."""
+    """Entry check on outside bids; the map keeps its bids >= BID_FLOOR."""
     if bids.shape != (market.n_buyers, market.n_goods):
         raise ShapeMismatch(f"bids shape {bids.shape}, market {market.n_buyers}x{market.n_goods}")
     if not np.all(np.isfinite(bids) & (bids > 0)):
         raise NonPositiveBid("bid matrix must be finite and strictly positive")
 
 
-def _step(market: MarketSpec, bids: np.ndarray, B: np.ndarray, iteration: int):
-    """The one PR map on state (bids, B). Returns (p, x, B', e', b') where p
-    and x belong to the current iteration."""
-    alpha = 1.0 if market.mode is Mode.FISHER else market.laziness
-    p = bids.sum(axis=0)
-    x = bids / p
-    B_next = (1.0 - alpha) * B + income(market, p)
-    e_next = alpha * B_next
-    b_next = e_next[:, None] * shares(*market.share_rows, x)
-    if not (b_next.min() >= BID_FLOOR):
-        raise UnderflowDetected(
-            f"bid below {BID_FLOOR} or NaN at iteration {iteration + 1}; "
-            "the dynamics is approaching a boundary allocation"
-        )
-    return p, x, B_next, e_next, b_next
+def _pr_map(market: MarketSpec):
+    """The one PR map of market: step(bids, B, t) returns (p, x, B', e', b'),
+    where p and x belong to iteration t. It raises UnderflowDetected when a
+    next bid is below BID_FLOOR or NaN."""
+    C, R = market.share_rows
+    add, smallest = np.add.reduce, np.minimum.reduce
+    if market.mode is Mode.FISHER:
+        budgets = market.budgets
+
+        def bank(B, p):  # alpha = 1 and a fixed income: B' = e' = budgets
+            return budgets, budgets
+
+    else:
+        alpha, owner = market.laziness, market.ownership
+        keep = 1.0 - alpha
+
+        def bank(B, p):  # the income is the revenue of the owned goods
+            B_next = keep * B + owner @ p
+            return B_next, alpha * B_next
+
+    def step(bids, B, t):
+        p = add(bids, 0)
+        x = bids / p
+        B_next, e_next = bank(B, p)
+        b_next = e_next[:, None] * shares(C, R, x)
+        if not smallest(b_next, None) >= BID_FLOOR:
+            raise UnderflowDetected(
+                f"bid below {BID_FLOOR} or NaN at iteration {t + 1}; "
+                "the dynamics is approaching a boundary allocation"
+            )
+        return p, x, B_next, e_next, b_next
+
+    return step
 
 
 def pr_step(market: MarketSpec, state: FisherState):
     """One Fisher PR iteration; returns (next_state, prices, allocation), where
     prices and allocation are computed from state.bids."""
     _check_bids(market, state.bids)
-    p, x, _, _, b_next = _step(market, state.bids, market.budgets, state.iteration)
+    p, x, _, _, b_next = _pr_map(market)(state.bids, None, state.iteration)
     return FisherState(bids=b_next, iteration=state.iteration + 1), p, x
 
 
 def lazy_step(market: MarketSpec, state: ExchangeState):
     """One lazy-PR iteration; returns (next_state, prices, allocation)."""
     _check_bids(market, state.bids)
-    p, x, B_next, e_next, b_next = _step(market, state.bids, state.budgets_B, state.iteration)
+    step = _pr_map(market)
+    p, x, B_next, e_next, b_next = step(state.bids, state.budgets_B, state.iteration)
     next_state = ExchangeState(
         budgets_B=B_next, spend_e=e_next, bids=b_next, iteration=state.iteration + 1
     )
@@ -101,39 +131,68 @@ def default_initial_exchange(market: MarketSpec) -> ExchangeState:
     return ExchangeState(budgets_B=B0, spend_e=e0, bids=b0, iteration=0)
 
 
+def _settle(trace: DynamicsTrace, balances: list, kept: list, prevs: list, watched: str):
+    """Block-wise bookkeeping of the steps since the last call: widen the
+    budget drift by the bank balances of every step, and set the
+    max_price_delta of each kept record from its stop quantity and the one of
+    the step before it (prevs). Empties the lists."""
+    if balances:
+        trace.track_budget_drift(np.array(balances))
+        balances.clear()
+    if kept:
+        diff = np.array([getattr(r, watched) for r in kept])
+        diff -= np.array(prevs)
+        deltas = np.maximum.reduce(np.abs(diff, out=diff).reshape(len(kept), -1), axis=1)
+        for record, delta in zip(kept, deltas.tolist()):
+            record.max_price_delta = delta
+        kept.clear()
+        prevs.clear()
+
+
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
     """The one run loop for both modes. It stops when the stop quantity
     moves less than stop.price_tol in the infinity norm between successive
-    iterations, or after stop.max_iters steps. The stop quantity is the price vector in a
-    Fisher market and the allocation in an exchange market. Every
+    iterations, or after stop.max_iters steps. The stop quantity is the price
+    vector in a Fisher market and the allocation in an exchange market. Every
     record_every-th iteration is recorded, plus always the final one."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
+    step = _pr_map(market)
     exchange = market.mode is Mode.EXCHANGE
+    watched = "allocation" if exchange else "prices"
+    tol, last = stop.price_tol, max(t, stop.max_iters - 1)
+    block = max(1, BLOCK_ENTRIES // bids.size)
+    settle_at = t + block - 1
     trace = DynamicsTrace(mode=market.mode)
-    prev = None
+    balances, kept, prevs = [], [], []  # not yet settled
+    prev, delta = None, float("inf")
     while True:
-        p, x, B_next, e_next, b_next = _step(market, bids, B, t)
-        watched = x if exchange else p
-        delta = float("inf") if prev is None else float(np.max(np.abs(watched - prev)))
-        record = TraceRecord(iteration=t, prices=p, bids=bids, allocation=x, max_price_delta=delta)
-        if exchange:
-            record.budgets_B, record.spend_e = B, e
-            trace.track_budget_drift(B)
-        if t % record_every == 0:
+        p, x, B_next, e_next, b_next = step(bids, B, t)
+        now = x if exchange else p
+        if tol and prev is not None:
+            delta = float(np.maximum.reduce(np.abs(now - prev), None))
+        done = delta < tol or t == last
+        if done or t % record_every == 0:
+            record = TraceRecord(t, p, bids, x, delta)
             trace.records.append(record)
-        trace.n_steps = t + 1
-        if delta < stop.price_tol:
-            trace.stop_reason = "price_tol"
-        elif t + 1 >= stop.max_iters:
-            trace.stop_reason = "max_iters"
-        if trace.stop_reason:
-            if not trace.records or trace.records[-1].iteration != t:
-                trace.records.append(record)
-            return trace
-        prev = watched
+            if exchange:
+                record.budgets_B, record.spend_e = B, e
+            if not tol and prev is not None:
+                kept.append(record)
+                prevs.append(prev)
+        if exchange:
+            balances.append(B)
+        if done or t == settle_at:
+            _settle(trace, balances, kept, prevs, watched)
+            settle_at = t + block
+            if done:
+                break
+        prev = now
         bids, B, e, t = b_next, B_next, e_next, t + 1
+    trace.n_steps = t + 1
+    trace.stop_reason = "price_tol" if delta < tol else "max_iters"
+    return trace
 
 
 def run_fisher(
@@ -144,7 +203,7 @@ def run_fisher(
 ) -> DynamicsTrace:
     """Run Fisher PR from bids b0; the stop quantity is the price vector."""
     bids = np.asarray(b0, dtype=float)
-    return _run(market, bids, market.budgets, market.budgets, 0, stop, record_every)
+    return _run(market, bids, None, None, 0, stop, record_every)
 
 
 def run_exchange(

@@ -138,7 +138,7 @@ def share_row(u: UtilitySpec) -> Tuple[np.ndarray, np.ndarray]:
 def shares(C: np.ndarray, R: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row-wise bid shares t / sum(t), t = C * X**R, of strictly positive X."""
     t = C * X ** R
-    return t / t.sum(axis=-1, keepdims=True)
+    return t / np.add.reduce(t, -1, keepdims=True)
 
 
 def bid_shares(u: UtilitySpec, x) -> np.ndarray:

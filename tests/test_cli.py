@@ -249,8 +249,10 @@ class TestVerify:
         run_doc = (run_out / "diagnostics.json").read_bytes()
         assert (verify_out / "diagnostics.json").read_bytes() == run_doc
 
-    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
-    def test_nan_bid_in_trace_is_error(self, tmp_path, capsys, mode):
+    @staticmethod
+    def _verify_with_nan(tmp_path, capsys, mode: str, column: str):
+        """Run a 300-step full dump, set one entry of its middle row to NaN,
+        and return verify's exit code and the error it printed."""
         mfile = tmp_path / "m.json"
         main(["gen", "3", "4", "ces", "--mode", mode, "--seed", "4", "--out", str(mfile)])
         run_out = tmp_path / "run"
@@ -261,7 +263,7 @@ class TestVerify:
         trace_csv = run_out / "trace.csv"
         with open(trace_csv, newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[len(rows) // 2][rows[0].index("b_1_1")] = "nan"
+        rows[len(rows) // 2][rows[0].index(column)] = "nan"
         with open(trace_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         capsys.readouterr()
@@ -269,8 +271,17 @@ class TestVerify:
             "verify", "--market", str(mfile), "--trace", str(trace_csv),
             "--out", str(tmp_path / "v"),
         ])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "NonPositiveEntry"
+        return code, json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    def test_nan_bid_in_trace_is_error(self, tmp_path, capsys, mode):
+        assert self._verify_with_nan(tmp_path, capsys, mode, "b_1_1") == (2, "NonPositiveEntry")
+
+    @pytest.mark.parametrize("column", ["B_1", "p_1", "x_1_1"])
+    def test_nan_in_exchange_trace_is_error(self, tmp_path, capsys, column):
+        assert self._verify_with_nan(tmp_path, capsys, "exchange", column) == (
+            2, "NonPositiveEntry"
+        )
 
     def test_trace_round_trip_exact(self, tmp_path):
         mfile = tmp_path / "m.json"

@@ -9,7 +9,6 @@ from prdyn import (
     check_normal_goods,
     corresponding_price,
     demand,
-    demand_separable_numeric,
     eval_gradient,
     eval_utility,
 )
@@ -54,14 +53,14 @@ class TestClosedForms:
 class TestSeparableNumeric:
     def test_symmetric_example(self):
         u = SeparablePower(weights=[1.0, 1.0], exponents=[0.5, 0.5])
-        res = demand_separable_numeric(u, [1.0, 1.0], 1.0)
+        res = demand(u, [1.0, 1.0], 1.0)
         assert np.allclose(res.x, [0.5, 0.5], atol=1e-10)
         assert res.lam == pytest.approx(1.0 / (2.0 * np.sqrt(0.5)), rel=1e-9)
 
     def test_price_ratio_example(self):
         # with rho = 0.5, spending on good j is proportional to 1/p_j
         u = SeparablePower(weights=[1.0, 1.0], exponents=[0.5, 0.5])
-        res = demand_separable_numeric(u, [1.0, 4.0], 1.0)
+        res = demand(u, [1.0, 4.0], 1.0)
         assert np.allclose(res.x, [0.8, 0.05], atol=1e-10)
 
     def test_solver_contract(self, rng):
@@ -70,7 +69,7 @@ class TestSeparableNumeric:
             u = random_utility("separable_power", m, rng)
             p = rng.uniform(0.2, 5.0, m)
             e = float(rng.uniform(0.5, 2.0))
-            res = demand_separable_numeric(u, p, e, tol=1e-12)
+            res = demand(u, p, e, tol=1e-12)
             assert abs(res.spent - e) / e <= 1e-12
 
 

@@ -1,0 +1,174 @@
+"""The run driver against a per-step reference loop over pr_step / lazy_step.
+
+The driver settles budget drift and, when the stop rule does not read it,
+max_price_delta block-wise; the reference evaluates both at every step, the
+way the driver did before. Every record field, the drift, n_steps and the
+stop reason must match bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from prdyn import (
+    DynamicsTrace,
+    FisherState,
+    MarketSpec,
+    Mode,
+    StopRule,
+    TraceRecord,
+    default_initial_bids,
+    default_initial_exchange,
+    lazy_step,
+    pr_step,
+    run_exchange,
+    run_fisher,
+    validate_market,
+)
+from prdyn.dynamics import BID_FLOOR
+from prdyn.errors import UnderflowDetected
+from prdyn.market import BLOCK_ENTRIES
+from conftest import FAMILIES, random_fisher_market
+from test_exchange import random_exchange_market
+
+N, M = 12, 16
+LONG = 1000  # steps of a price_tol = 0 run: several driver blocks at 12 x 16
+
+
+def mixed_market(mode: str):
+    rng = np.random.default_rng(7)
+    families = [FAMILIES[i % len(FAMILIES)] for i in range(N)]
+    if mode == "fisher":
+        return random_fisher_market(families, N, M, rng)
+    return random_exchange_market(families, N, M, rng)
+
+
+def reference_run(market, max_iters, price_tol):
+    """One step at a time through the public step functions, recording every
+    iteration. Returns (records, budget drift, n_steps, stop reason)."""
+    exchange = market.mode is Mode.EXCHANGE
+    if exchange:
+        state, step = default_initial_exchange(market), lazy_step
+    else:
+        state, step = FisherState(bids=default_initial_bids(market)), pr_step
+    records, drift, prev = [], 0.0, None
+    while True:
+        t = state.iteration
+        next_state, p, x = step(market, state)
+        now = x if exchange else p
+        delta = float("inf") if prev is None else float(np.max(np.abs(now - prev)))
+        record = TraceRecord(
+            iteration=t, prices=p, bids=state.bids, allocation=x, max_price_delta=delta
+        )
+        if exchange:
+            record.budgets_B, record.spend_e = state.budgets_B, state.spend_e
+            drift = max(drift, abs(float(state.budgets_B.sum()) - 1.0))
+        records.append(record)
+        if delta < price_tol:
+            return records, drift, t + 1, "price_tol"
+        if t + 1 >= max_iters:
+            return records, drift, t + 1, "max_iters"
+        prev, state = now, next_state
+
+
+def bits(record: TraceRecord):
+    arrays = (record.prices, record.bids, record.allocation, record.budgets_B, record.spend_e)
+    return (
+        record.iteration,
+        repr(record.max_price_delta),
+        repr(record.potential_value),
+        *(None if a is None else (a.shape, a.tobytes()) for a in arrays),
+    )
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Reference runs keyed by (mode, price_tol), computed once."""
+    runs = {}
+    for mode in ("fisher", "exchange"):
+        market = mixed_market(mode)
+        for tol in (0.0, 1e-9):
+            runs[mode, tol] = market, reference_run(market, LONG, tol)
+    return runs
+
+
+@pytest.mark.parametrize("price_tol", [0.0, 1e-9])
+@pytest.mark.parametrize("record_every", [1, 7, 20000])
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_driver_matches_per_step_reference(
+    reference, monkeypatch, mode, record_every, price_tol
+):
+    market, (records, drift, n_steps, stop_reason) = reference[mode, price_tol]
+    balances = []  # every stack of bank balances the drift is widened by
+    track = DynamicsTrace.track_budget_drift
+
+    def tracked(trace, budgets_B):
+        balances.append(np.atleast_2d(budgets_B))
+        track(trace, budgets_B)
+
+    monkeypatch.setattr(DynamicsTrace, "track_budget_drift", tracked)
+    stop = StopRule(max_iters=LONG, price_tol=price_tol)
+    if mode == "fisher":
+        trace = run_fisher(market, default_initial_bids(market), stop, record_every)
+    else:
+        trace = run_exchange(market, default_initial_exchange(market), stop, record_every)
+    kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
+    assert [bits(r) for r in trace.records] == [bits(r) for r in kept]
+    assert repr(trace.budget_drift) == repr(drift)
+    if mode == "exchange":
+        # the drift covers the bank balances of every step, recorded or not
+        every_step = np.array([r.budgets_B for r in records])
+        assert np.concatenate(balances).tobytes() == every_step.tobytes()
+    else:
+        assert not balances
+    assert (trace.n_steps, trace.stop_reason) == (n_steps, stop_reason)
+    if price_tol == 0:
+        # the run spans several bookkeeping blocks of the driver
+        assert n_steps > 3 * BLOCK_ENTRIES // (N * M)
+    else:
+        assert stop_reason == "price_tol"
+
+
+def tiny_budget_market():
+    """A Fisher market whose third buyer's smallest bid decays towards the
+    floor and crosses it after several steps."""
+    base = random_fisher_market("ces", 3, 4, np.random.default_rng(3))
+    return validate_market(
+        MarketSpec(3, 4, base.utilities, Mode.FISHER, budgets=np.array([1.0, 1.5, 2.5e-279]))
+    )
+
+
+def first_iteration_below_floor(market) -> int:
+    """The first iteration whose bids, by the Fisher PR formula written out
+    here, have an entry below BID_FLOOR."""
+    C, R = market.share_rows
+    bids = default_initial_bids(market)
+    for t in range(1, 1000):
+        x = bids / bids.sum(axis=0)
+        s = C * x**R
+        bids = market.budgets[:, None] * (s / s.sum(axis=1, keepdims=True))
+        if bids.min() < BID_FLOOR:
+            return t
+    raise AssertionError("no bid fell below the floor")
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 20000])
+def test_underflow_fires_at_the_reference_iteration(record_every):
+    market = tiny_budget_market()
+    iteration = first_iteration_below_floor(market)
+    assert iteration > 1
+    state = FisherState(bids=default_initial_bids(market))
+    with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
+        while True:
+            state, _, _ = pr_step(market, state)
+    with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
+        run_fisher(market, default_initial_bids(market), StopRule(20000, 0.0), record_every)
+
+
+def test_budget_drift_propagates_nan():
+    trace = DynamicsTrace(mode=Mode.EXCHANGE)
+    trace.track_budget_drift(np.array([0.25, 0.75 + 1e-12]))
+    assert trace.budget_drift > 0
+    trace.track_budget_drift(np.array([np.nan, 0.5]))
+    assert np.isnan(trace.budget_drift)
+    trace.track_budget_drift(np.array([[0.5, 0.5], [0.25, 0.75]]))
+    assert np.isnan(trace.budget_drift)

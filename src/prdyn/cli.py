@@ -9,7 +9,6 @@ rendering, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -35,10 +34,6 @@ from .utilities import CES, CobbDouglas, SeparablePower
 log = logging.getLogger("prdyn")
 
 _FAMILIES = ("cobb_douglas", "ces", "separable_power")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -173,70 +168,96 @@ def generate_market(
 # trace / report files
 # ---------------------------------------------------------------------------
 
-def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool = False):
+def _trace_header(market: MarketSpec, full_dump: bool) -> list:
+    """The trace CSV's columns, in file order: iteration, p_j, potential,
+    max_price_delta and, in a full dump, b_i_j, x_i_j and (exchange) B_i, e_i."""
     n, m = market.n_buyers, market.n_goods
     header = ["iteration"] + [f"p_{j + 1}" for j in range(m)] + ["potential", "max_price_delta"]
     if full_dump:
         header += [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
         header += [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
-        if trace.mode is Mode.EXCHANGE:
+        if market.mode is Mode.EXCHANGE:
             header += [f"B_{i + 1}" for i in range(n)] + [f"e_{i + 1}" for i in range(n)]
+    return header
+
+
+def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool = False):
+    """Write one CSV row per record, each float as its shortest round-trip
+    repr and each line ended by \\r\\n, as csv.writer writes them (no field
+    needs quoting). Each row is formatted from one list of Python floats."""
+    exchange = full_dump and market.mode is Mode.EXCHANGE
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_trace_header(market, full_dump)) + "\r\n")
         for r in trace.records:
-            row = [str(r.iteration)] + [_fmt(v) for v in r.prices]
-            row += [_fmt(r.potential_value), _fmt(r.max_price_delta)]
+            parts = [r.prices, (r.potential_value, r.max_price_delta)]
             if full_dump:
-                row += [_fmt(v) for v in r.bids.ravel()]
-                row += [_fmt(v) for v in r.allocation.ravel()]
-                if trace.mode is Mode.EXCHANGE:
-                    row += [_fmt(v) for v in r.budgets_B] + [_fmt(v) for v in r.spend_e]
-            writer.writerow(row)
-
-
-def _finite_columns(row: dict, names: list, path) -> np.ndarray:
-    """The named entries of one trace row; NonPositiveEntry if any is not finite."""
-    values = np.array([float(row[name]) for name in names])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        name = names[bad[0]]
-        raise NonPositiveEntry(
-            f"{path}: {name} = {row[name]} at iteration {row['iteration']}; "
-            "trace entries must be finite"
-        )
-    return values
+                parts += [r.bids.ravel(), r.allocation.ravel()]
+            if exchange:
+                parts += [r.budgets_B, r.spend_e]
+            values = np.concatenate(parts).tolist()
+            fh.write(f"{r.iteration},{','.join(map(repr, values))}\r\n")
 
 
 def read_trace(path, market: MarketSpec) -> DynamicsTrace:
-    """Rebuild a trace from a --full-dump CSV. A non-finite price, bid,
-    allocation, bank balance or spending entry raises NonPositiveEntry."""
+    """Rebuild a trace from a --full-dump CSV, whose header must be exactly
+    the one `run --full-dump` writes for this market. A malformed row, a
+    non-integral iteration or a header that does not fit the market raises
+    ParseError; a non-finite price, bid, allocation, bank balance or
+    spending entry raises NonPositiveEntry. The records' arrays are views of
+    one (T, C) array parsed from the whole file."""
     n, m = market.n_buyers, market.n_goods
-    p_cols = [f"p_{j + 1}" for j in range(m)]
-    b_cols = [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
-    x_cols = [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
-    B_cols = [f"B_{i + 1}" for i in range(n)]
-    e_cols = [f"e_{i + 1}" for i in range(n)]
+    header = _trace_header(market, True)
     trace = DynamicsTrace(mode=market.mode)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "b_1_1" not in reader.fieldnames:
-            raise ParseError(f"{path}: trace has no bid columns; re-run with --full-dump")
-        for row in reader:
-            rec = TraceRecord(
-                iteration=int(row["iteration"]),
-                prices=_finite_columns(row, p_cols, path),
-                bids=_finite_columns(row, b_cols, path).reshape(n, m),
-                allocation=_finite_columns(row, x_cols, path).reshape(n, m),
-                max_price_delta=float(row["max_price_delta"]),
-                potential_value=float(row["potential"]),
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n").split(",")
+        if found != header:
+            if "b_1_1" not in found:
+                raise ParseError(f"{path}: trace has no bid columns; re-run with --full-dump")
+            raise ParseError(
+                f"{path}: trace columns do not fit this {market.mode.value} market of "
+                f"{n} buyers and {m} goods; verify needs the header run --full-dump writes for it"
             )
-            if market.mode is Mode.EXCHANGE:
-                rec.budgets_B = _finite_columns(row, B_cols, path)
-                rec.spend_e = _finite_columns(row, e_cols, path)
-                trace.track_budget_drift(rec.budgets_B)
-            trace.records.append(rec)
-    trace.n_steps = trace.records[-1].iteration + 1 if trace.records else 0
+        body = fh.tell()
+        if not fh.readline():
+            return trace  # header only: no records
+        fh.seek(body)
+        try:
+            A = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            # loadtxt names the body row and column; drop its hint on usecols
+            raise ParseError(f"{path}: malformed trace row: {str(exc).split(';')[0]}") from exc
+    if A.shape[1] != len(header):
+        raise ParseError(f"{path}: trace rows have {A.shape[1]} fields, the header {len(header)}")
+    iterations = A[:, 0]
+    bad = np.flatnonzero((iterations != np.floor(iterations)) | np.isinf(iterations))
+    if bad.size:
+        raise ParseError(f"{path}: iteration {float(iterations[bad[0]])!r} is not an integer")
+    # Every entry but potential and max_price_delta (nan without --diagnostics,
+    # inf at t=0) must be finite; argmin finds the first bad one in file order.
+    finite = np.isfinite(A)
+    finite[:, m + 1:m + 3] = True
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), A.shape[1])
+        raise NonPositiveEntry(
+            f"{path}: {header[col]} = {float(A[row, col])!r} at iteration "
+            f"{int(iterations[row])}; trace entries must be finite"
+        )
+    b0, x0, B0 = m + 3, m + 3 + n * m, m + 3 + 2 * n * m
+    for row, it in zip(A, map(int, iterations.tolist())):
+        rec = TraceRecord(
+            iteration=it,
+            prices=row[1:1 + m],
+            bids=row[b0:x0].reshape(n, m),
+            allocation=row[x0:B0].reshape(n, m),
+            max_price_delta=float(row[m + 2]),
+            potential_value=float(row[m + 1]),
+        )
+        if market.mode is Mode.EXCHANGE:
+            rec.budgets_B, rec.spend_e = row[B0:B0 + n], row[B0 + n:]
+        trace.records.append(rec)
+    if market.mode is Mode.EXCHANGE:
+        trace.track_budget_drift(A[:, B0:B0 + n])
+    trace.n_steps = trace.records[-1].iteration + 1
     return trace
 
 

@@ -1,19 +1,29 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prdyn import Mode
-from prdyn.cli import generate_market, load_market, main, read_trace, write_market
+from prdyn.cli import (
+    generate_market, load_market, main, read_trace, write_market, write_trace,
+)
 from prdyn.errors import ParseError, UtilityParamInvalid
+from prdyn.market import DynamicsTrace, TraceRecord
 from test_equilibrium import near_linear_fisher_market
 
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
+
+
+def _bits(value):
+    """The float64 bit patterns of a number or array (None stays None), so
+    that NaN compares equal to itself and -0.0 differs from 0.0."""
+    return None if value is None else np.asarray(value, np.float64).view(np.uint64).tolist()
 
 
 class TestLoadMarket:
@@ -209,6 +219,64 @@ class TestRun:
             assert (out / f"seed-{seed:04d}" / "summary.json").exists()
 
 
+def _set_cell(row: int, col: int, value: str):
+    def tamper(rows):
+        rows[row][col] = value
+        return rows
+    return tamper
+
+
+def _csv_writer_trace(trace, market, path, full_dump: bool):
+    """The trace CSV as csv.writer writes it, one repr(float(v)) per cell:
+    the reference that write_trace must match byte for byte."""
+    n, m = market.n_buyers, market.n_goods
+    exchange = full_dump and market.mode is Mode.EXCHANGE
+    header = ["iteration"] + [f"p_{j + 1}" for j in range(m)] + ["potential", "max_price_delta"]
+    if full_dump:
+        header += [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+        header += [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+    if exchange:
+        header += [f"B_{i + 1}" for i in range(n)] + [f"e_{i + 1}" for i in range(n)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in trace.records:
+            values = [*r.prices, r.potential_value, r.max_price_delta]
+            if full_dump:
+                values += [*r.bids.ravel(), *r.allocation.ravel()]
+            if exchange:
+                values += [*r.budgets_B, *r.spend_e]
+            writer.writerow([str(r.iteration)] + [repr(float(v)) for v in values])
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("full_dump", [False, True])
+    @pytest.mark.parametrize("mode", [Mode.FISHER, Mode.EXCHANGE])
+    def test_bytes_match_csv_writer(self, tmp_path, mode, full_dump):
+        market = generate_market(2, 3, "ces", seed=1, mode=mode)
+        rng = np.random.default_rng(0)
+        pool = np.concatenate([[5e-324, 1e16, 1e-5, 0.1, 1 / 3, -0.0], rng.uniform(0, 2, 30)])
+
+        def values(shape, k):
+            return np.resize(np.roll(pool, -k), shape)
+
+        trace = DynamicsTrace(mode=mode)
+        for t in range(4):
+            trace.records.append(TraceRecord(
+                iteration=t, prices=values(3, t), bids=values((2, 3), t + 1),
+                allocation=values((2, 3), t + 2),
+                max_price_delta=float("inf") if t == 0 else float(pool[t + 6]),
+                potential_value=float("nan") if t < 2 else float(pool[t]),
+                budgets_B=values(2, t + 3) if mode is Mode.EXCHANGE else None,
+                spend_e=values(2, t + 4) if mode is Mode.EXCHANGE else None,
+            ))
+        write_trace(trace, market, tmp_path / "trace.csv", full_dump=full_dump)
+        _csv_writer_trace(trace, market, tmp_path / "reference.csv", full_dump)
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b"5e-324" in written and b"1e+16" in written and b"nan" in written
+
+
 class TestVerify:
     def test_replay_full_dump_trace(self, tmp_path):
         mfile = tmp_path / "m.json"
@@ -250,11 +318,13 @@ class TestVerify:
         assert (verify_out / "diagnostics.json").read_bytes() == run_doc
 
     @staticmethod
-    def _verify_with_nan(tmp_path, capsys, mode: str, column: str):
-        """Run a 300-step full dump, set one entry of its middle row to NaN,
-        and return verify's exit code and the error it printed."""
-        mfile = tmp_path / "m.json"
-        main(["gen", "3", "4", "ces", "--mode", mode, "--seed", "4", "--out", str(mfile)])
+    def _verify_tampered(tmp_path, capsys, mode: str, tamper, market_mode: str = ""):
+        """Run a 300-step full dump of a 3x4 CES market, rewrite its rows
+        (the header first) as tamper(rows), and return the exit code and the
+        error of verify against the market of market_mode (default: mode)."""
+        mfile, vfile = tmp_path / "m.json", tmp_path / "v.json"
+        for path, m in ((mfile, mode), (vfile, market_mode or mode)):
+            main(["gen", "3", "4", "ces", "--mode", m, "--seed", "4", "--out", str(path)])
         run_out = tmp_path / "run"
         assert main([
             "run", "--market", str(mfile), "--max-iters", "300", "--price-tol", "0",
@@ -262,16 +332,25 @@ class TestVerify:
         ]) == 0
         trace_csv = run_out / "trace.csv"
         with open(trace_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        rows[len(rows) // 2][rows[0].index(column)] = "nan"
+            rows = tamper(list(csv.reader(fh)))
         with open(trace_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         capsys.readouterr()
-        code = main([
-            "verify", "--market", str(mfile), "--trace", str(trace_csv),
-            "--out", str(tmp_path / "v"),
-        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+            code = main([
+                "verify", "--market", str(vfile), "--trace", str(trace_csv),
+                "--out", str(tmp_path / "v"),
+            ])
         return code, json.loads(capsys.readouterr().err)["error"]
+
+    @classmethod
+    def _verify_with_nan(cls, tmp_path, capsys, mode: str, column: str):
+        """verify's exit code and error after one entry of the middle row is set to NaN."""
+        def set_nan(rows):
+            rows[len(rows) // 2][rows[0].index(column)] = "nan"
+            return rows
+        return cls._verify_tampered(tmp_path, capsys, mode, set_nan)
 
     @pytest.mark.parametrize("mode", ["fisher", "exchange"])
     def test_nan_bid_in_trace_is_error(self, tmp_path, capsys, mode):
@@ -283,20 +362,60 @@ class TestVerify:
             2, "NonPositiveEntry"
         )
 
+    @pytest.mark.parametrize(
+        "market_mode, tamper, error",
+        [
+            pytest.param("exchange", lambda rows: rows, "ParseError", id="exchange-market"),
+            pytest.param("fisher", _set_cell(5, 3, "abc"), "ParseError", id="non-numeric-cell"),
+            pytest.param(
+                "fisher", lambda rows: rows[:5] + [rows[5][:-2]] + rows[6:], "ParseError",
+                id="two-fields-missing",
+            ),
+            pytest.param("fisher", _set_cell(5, 0, "4.5"), "ParseError", id="fractional-iteration"),
+            pytest.param("fisher", _set_cell(5, 0, "inf"), "ParseError", id="infinite-iteration"),
+            pytest.param("fisher", _set_cell(5, 0, "1e300"), "NonConsecutiveTrace", id="huge-iteration"),
+            pytest.param("fisher", lambda rows: rows[:1], "NonConsecutiveTrace", id="header-only"),
+        ],
+    )
+    def test_malformed_dump_is_structured_error(self, tmp_path, capsys, market_mode, tamper, error):
+        assert self._verify_tampered(tmp_path, capsys, "fisher", tamper, market_mode) == (2, error)
+
     def test_trace_round_trip_exact(self, tmp_path):
-        mfile = tmp_path / "m.json"
-        main(["gen", "2", "3", "separable_power", "--seed", "2", "--out", str(mfile)])
-        out = tmp_path / "out"
-        main(["run", "--market", str(mfile), "--full-dump", "--out", str(out)])
-        market = load_market(mfile)
-        trace = read_trace(out / "trace.csv", market)
-        assert trace.is_consecutive()
-        # serialization is shortest-round-trip decimal: bids survive exactly
-        from prdyn import StopRule, default_initial_bids, run_fisher
-        ref = run_fisher(
-            market, default_initial_bids(market), StopRule(20000, 1e-10)
+        """Floats are shortest round-trip decimals, so a full dump reads back
+        bit for bit: every field of every record of a Fisher and an exchange
+        run, and the exchange run's budget_drift and n_steps."""
+        from prdyn import (
+            StopRule, default_initial_bids, default_initial_exchange, run_exchange, run_fisher,
         )
-        assert np.array_equal(trace.records[-1].bids, ref.records[-1].bids)
+        from prdyn.cli import _diagnostics_doc
+
+        cases = [
+            (["2", "3", "separable_power", "--seed", "2"], [],
+             lambda m: run_fisher(m, default_initial_bids(m), StopRule(20000, 1e-10))),
+            (["3", "4", "ces", "--mode", "exchange", "--seed", "4"],
+             ["--max-iters", "300", "--price-tol", "0"],
+             lambda m: run_exchange(m, default_initial_exchange(m), StopRule(300, 0.0))),
+        ]
+        for k, (gen_args, run_args, run) in enumerate(cases):
+            mfile, out = tmp_path / f"m{k}.json", tmp_path / f"out{k}"
+            main(["gen", *gen_args, "--out", str(mfile)])
+            assert main([
+                "run", "--market", str(mfile), *run_args, "--diagnostics", "--full-dump",
+                "--out", str(out),
+            ]) == 0
+            market = load_market(mfile)
+            ref = run(market)
+            _diagnostics_doc(market, ref)  # fills each record's potential, as run does
+            trace = read_trace(out / "trace.csv", market)
+            assert trace.is_consecutive()
+            assert trace.n_steps == ref.n_steps
+            assert _bits(trace.budget_drift) == _bits(ref.budget_drift)
+            assert len(trace.records) == len(ref.records)
+            for got, want in zip(trace.records, ref.records):
+                assert got.iteration == want.iteration
+                for name in ("prices", "potential_value", "max_price_delta", "bids",
+                             "allocation", "budgets_B", "spend_e"):
+                    assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
     def test_missing_bid_columns_rejected(self, tmp_path):
         mfile = tmp_path / "m.json"

@@ -40,18 +40,38 @@ _FAMILIES = ("cobb_douglas", "ces", "separable_power")
 # market config (de)serialization
 # ---------------------------------------------------------------------------
 
-def _utility_from_json(doc: dict, buyer: int):
+def _field(entry: dict, name: str, convert, buyer: int):
+    """convert(entry[name]) for a field of buyer `buyer`'s entry; a missing
+    field or one convert rejects raises ParseError naming both."""
     try:
-        family = doc["family"]
-        weights = doc["weights"]
-        if family == "cobb_douglas":
-            return CobbDouglas(weights=weights)
-        if family == "ces":
-            return CES(weights=weights, rho=doc["rho"])
-        if family == "separable_power":
-            return SeparablePower(weights=weights, exponents=doc["rhos"])
+        value = entry[name]
     except KeyError as exc:
-        raise ParseError(f"buyer {buyer}: utility missing field {exc}") from exc
+        raise ParseError(f"buyer {buyer}: missing field {exc}") from exc
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"buyer {buyer}: bad {name} {value!r}: {exc}") from exc
+
+
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _utility_from_json(doc, buyer: int):
+    if not isinstance(doc, dict):
+        raise ParseError(f"buyer {buyer}: utility must be a JSON object, got {doc!r}")
+    family = _field(doc, "family", str, buyer)
+    try:
+        if family == "cobb_douglas":
+            return CobbDouglas(weights=_field(doc, "weights", _vector, buyer))
+        if family == "ces":
+            return CES(weights=_field(doc, "weights", _vector, buyer),
+                       rho=_field(doc, "rho", float, buyer))
+        if family == "separable_power":
+            return SeparablePower(weights=_field(doc, "weights", _vector, buyer),
+                                  exponents=_field(doc, "rhos", _vector, buyer))
+    except ParseError:
+        raise
     except PrdynError as exc:
         raise type(exc)(f"buyer {buyer}: {exc}") from exc
     raise ParseError(f"buyer {buyer}: unknown utility family {family!r}")
@@ -73,29 +93,30 @@ def load_market(path) -> MarketSpec:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a market config must be a JSON object")
     try:
         mode = Mode(doc["mode"])
         m = int(doc["goods"])
         buyers = doc["buyers"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad top-level field: {exc}") from exc
+    if not isinstance(buyers, list) or not all(isinstance(b, dict) for b in buyers):
+        raise ParseError(f"{path}: buyers must be a list of JSON objects")
 
     utilities = [_utility_from_json(b.get("utility", {}), i) for i, b in enumerate(buyers)]
     if mode is Mode.FISHER:
-        try:
-            budgets = np.array([float(b["budget"]) for b in buyers])
-        except KeyError as exc:
-            raise ParseError(f"{path}: Fisher buyers need a budget field: {exc}") from exc
+        budgets = np.array([_field(b, "budget", float, i) for i, b in enumerate(buyers)])
         spec = MarketSpec(
             n_buyers=len(buyers), n_goods=m, utilities=tuple(utilities),
             mode=mode, budgets=budgets,
         )
     else:
-        try:
-            endow = tuple(tuple(int(j) - 1 for j in b["endowment_goods"]) for b in buyers)
-            alpha = np.array([float(b["alpha"]) for b in buyers])
-        except KeyError as exc:
-            raise ParseError(f"{path}: exchange buyers need endowment_goods and alpha: {exc}") from exc
+        def goods(value):
+            return tuple(int(j) - 1 for j in value)
+
+        endow = tuple(_field(b, "endowment_goods", goods, i) for i, b in enumerate(buyers))
+        alpha = np.array([_field(b, "alpha", float, i) for i, b in enumerate(buyers)])
         spec = MarketSpec(
             n_buyers=len(buyers), n_goods=m, utilities=tuple(utilities),
             mode=mode, endowments=endow, laziness=alpha,

@@ -7,8 +7,9 @@ lam; separable power k = a * rho, r = rho), so x_j = exp(beta_j (t + log p_j
 budget constraint for t by Newton in log lam over all buyers at once:
 log(p . x(t)) - log e is convex and strictly decreasing in t, so Newton
 converges from any start, and it is exact after one step on a row with a
-constant exponent. Demand shares no code with the dynamics; the corresponding
-price q = e * s / x uses its share kernel.
+constant exponent. demand_jacobian differentiates the same rows in log p for
+the equilibrium oracle. Demand shares no code with the dynamics; the
+corresponding price q = e * s / x uses its share kernel.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def demand_rows(
     raise ToleranceNotReached(
         f"Newton did not reach relative tolerance {tol} in {_MAX_NEWTON} steps"
     )
+
+
+def demand_jacobian(
+    rows: Tuple[np.ndarray, np.ndarray], p: np.ndarray, x: np.ndarray, e: np.ndarray, eps
+) -> np.ndarray:
+    """m x m Jacobian dz_j / d log p_k of the aggregate demand z = x.sum(0),
+    where x = demand_rows(rows, p, e) and eps[i, k] = d log e_i / d log p_k
+    (0 for fixed budgets). With spending shares S = x p / e, each buyer's
+    multiplier moves as dt_i / d log p_k = (eps_ik - S_ik (1 + beta_ik)) /
+    sum_j S_ij beta_ij, and log x_ij moves by beta_ij (delta_jk + dt_i)."""
+    _, beta = rows
+    S = x * p / e[:, None]
+    xb = x * beta
+    dt = (eps - S * (1.0 + beta)) / (S * beta).sum(axis=1, keepdims=True)
+    return np.diag(xb.sum(axis=0)) + xb.T @ dt
 
 
 def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:

@@ -1,12 +1,13 @@
 """Independent equilibrium oracle for both market modes.
 
 The oracle deliberately shares no machinery with the proportional-response
-iteration: it runs a damped multiplicative excess-demand fixed point
-p <- p * z^gamma (z = aggregate demand at unit supply), which only needs the
-demand kernel; each step solves every buyer's budget multiplier at once by
-Newton in log lam. Cobb-Douglas Fisher markets use the closed form instead.
-The iteration stops with converged=False when a step would leave the prices
-or the demand non-finite or a price zero. From the share rows it takes only
+iteration: it solves z(p) = 1 (z = aggregate demand at unit supply) by
+guarded Newton steps in log p, which only need the demand kernel and its
+Jacobian in log p (demand.demand_jacobian); each demand call solves every
+buyer's budget multiplier at once by Newton in log lam. Cobb-Douglas Fisher
+markets use the closed form instead. The iteration stops with
+converged=False when a step would leave the prices or the demand non-finite
+or zero, or when its line search stalls. From the share rows it takes only
 the Cobb-Douglas weights and the KKT residual.
 """
 
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import _check_price, demand_rows, kkt_rows
+from .demand import _check_price, demand_jacobian, demand_rows, kkt_rows
 from .errors import ModeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
 from .utilities import shares
 
-DEFAULT_DAMPING = 0.3
+_ARMIJO = 1e-4  # sufficient decrease of ||log z||^2 per unit step length
+_MIN_STEP = 2.0 ** -30  # shortest step length the line search tries
 
 
 @dataclass(frozen=True)
@@ -75,36 +77,70 @@ def _finish(
     )
 
 
-def _tatonnement(
-    market: MarketSpec, total: float, tol: float, max_iters: int, damping: float
-) -> EquilibriumResult:
-    """Damped multiplicative excess-demand iteration on prices that sum to total.
+def _newton(market: MarketSpec, total: float, tol: float, max_iters: int) -> EquilibriumResult:
+    """Guarded Newton iteration on u = log p for z = 1, from uniform prices
+    that sum to total.
 
-    Stops with converged=False at the last valid iterate when the next one has
-    a zero or non-finite price or a non-finite demand."""
+    Each step solves (J / z) du = -log z with J = dz/du from demand_jacobian;
+    an exchange market, whose demand is scale free, adds the row p . du = 0.
+    The step is scaled so that no price moves by more than a factor e, then
+    halved until ||log z||^2 falls (Armijo). Once max|z - 1| <= tol, one more
+    full step is kept if it does not raise that residual, which leaves p*
+    accurate well beyond tol. Stops with converged=False at the last valid
+    iterate when no step length gives finite, positive prices and demand that
+    lower the residual."""
     rows = kkt_rows(market.utilities)
-    p = np.full(market.n_goods, total / market.n_goods)
-    x = _aggregate_demand(rows, market, p)
-    for it in range(1, max_iters + 1):
+    exchange = market.mode is Mode.EXCHANGE
+
+    def at(p):
+        """(p, e, x, z) with z the aggregate demand; None when a price or an
+        entry of z is zero or not finite."""
+        if exchange:
+            p = p * (total / p.sum())
+        if not np.all(np.isfinite(p) & (p > 0)):
+            return None
+        e = income(market, p)
+        x = demand_rows(rows, p, e)
         z = x.sum(axis=0)
-        if np.max(np.abs(z - 1.0)) <= tol:
+        return (p, e, x, z) if np.all(np.isfinite(z) & (z > 0)) else None
+
+    def newton_step(p, e, x, z):
+        eps = market.ownership * p / e[:, None] if exchange else 0.0
+        A = demand_jacobian(rows, p, x, e, eps) / z[:, None]
+        if exchange:
+            A, rhs = np.vstack([A, p]), np.append(-np.log(z), 0.0)
+            return np.linalg.lstsq(A, rhs, rcond=None)[0]
+        return np.linalg.solve(A, -np.log(z))
+
+    p = np.full(market.n_goods, total / market.n_goods)
+    state = at(p)
+    if state is None:  # some demand at uniform prices is out of float range
+        return _finish(market, p, _aggregate_demand(rows, market, p), False, 0)
+    for it in range(1, max_iters + 1):
+        p, e, x, z = state
+        gap = np.max(np.abs(z - 1.0))
+        if gap <= tol:
+            final = at(p * np.exp(newton_step(*state)))
+            if final is not None and np.max(np.abs(final[3] - 1.0)) <= gap:
+                p, _, x, _ = final
             return _finish(market, p, x, converged=True, iters=it)
-        p_next = p * z ** damping
-        p_next *= total / p_next.sum()
-        if not np.all(np.isfinite(p_next) & (p_next > 0)):
-            return _finish(market, p, x, converged=False, iters=it)
-        x_next = _aggregate_demand(rows, market, p_next)
-        if not np.all(np.isfinite(x_next)):
-            return _finish(market, p, x, converged=False, iters=it)
-        p, x = p_next, x_next
+        du = newton_step(*state)
+        du /= max(1.0, np.abs(du).max())
+        f = np.sum(np.log(z) ** 2)
+        alpha = 1.0
+        while True:
+            state = at(p * np.exp(alpha * du))
+            if state is not None and np.sum(np.log(state[3]) ** 2) <= (1 - _ARMIJO * alpha) * f:
+                break
+            alpha /= 2.0
+            if alpha < _MIN_STEP:
+                return _finish(market, p, x, converged=False, iters=it)
+    p, _, x, _ = state
     return _finish(market, p, x, converged=False, iters=max_iters)
 
 
 def solve_fisher_eq(
-    market: MarketSpec,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
-    damping: float = DEFAULT_DAMPING,
+    market: MarketSpec, tol: float = 1e-10, max_iters: int = 20000
 ) -> EquilibriumResult:
     _require_mode(market, Mode.FISHER)
     C, R = market.share_rows
@@ -112,18 +148,15 @@ def solve_fisher_eq(
         p = market.budgets @ C
         x = _aggregate_demand(kkt_rows(market.utilities), market, p)
         return _finish(market, p, x, converged=True, iters=0)
-    return _tatonnement(market, float(market.budgets.sum()), tol, max_iters, damping)
+    return _newton(market, float(market.budgets.sum()), tol, max_iters)
 
 
 def solve_exchange_eq(
-    market: MarketSpec,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
-    damping: float = DEFAULT_DAMPING,
+    market: MarketSpec, tol: float = 1e-10, max_iters: int = 20000
 ) -> EquilibriumResult:
     """Exchange equilibria are scale free; prices are normalized to sum to 1."""
     _require_mode(market, Mode.EXCHANGE)
-    return _tatonnement(market, 1.0, tol, max_iters, damping)
+    return _newton(market, 1.0, tol, max_iters)
 
 
 @dataclass(frozen=True)

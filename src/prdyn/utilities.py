@@ -35,6 +35,9 @@ class CobbDouglas:
 
     def __post_init__(self):
         a = _positive_weights(self.weights)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(a.sum()):
+                raise UtilityParamInvalid(f"Cobb-Douglas weights must have a finite sum, got {a}")
         # Iterate normalization to a bitwise fixed point so that serializing
         # and re-loading a utility reproduces the exact same weights.
         for _ in range(4):

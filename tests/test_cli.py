@@ -1,17 +1,20 @@
 import csv
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prdyn import Mode
 from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
 )
-from prdyn.errors import ParseError, UtilityParamInvalid
+from prdyn.errors import ParseError, PrdynError, UtilityParamInvalid
 from prdyn.market import DynamicsTrace, TraceRecord
 from test_equilibrium import near_linear_fisher_market
 
@@ -83,6 +86,92 @@ class TestLoadMarket:
             load_market(path)
 
 
+def _market_doc(family, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        write_market(generate_market(2, 3, family, seed=1, mode=mode), path)
+        return json.loads(path.read_text())
+
+
+BASE_DOCS = [_market_doc(f, mode) for f in ("cobb_douglas", "ces", "separable_power") for mode in Mode]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(doc, path=()):
+    """Every key or index path in a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A generated market config with the value at one path replaced by an
+    arbitrary JSON value, or one object key deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(BASE_DOCS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(JSON_VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+class TestLoadMalformed:
+    @pytest.mark.parametrize("buyer, match", [
+        ({"budget": 1, "utility": {"family": "ces", "weights": [1, 1], "rho": "x"}}, "buyer 0: bad rho"),
+        ({"budget": "a", "utility": {"family": "ces", "weights": [1, 1], "rho": 0.5}}, "buyer 0: bad budget"),
+        ({"budget": 1, "utility": {"family": "ces", "weights": "ab", "rho": 0.5}}, "buyer 0: bad weights"),
+    ])
+    def test_malformed_field_names_buyer_and_field(self, tmp_path, buyer, match):
+        path = tmp_path / "bad.json"
+        write_json(path, {"mode": "fisher", "goods": 2, "buyers": [buyer]})
+        with pytest.raises(ParseError, match=match):
+            load_market(path)
+
+    @pytest.mark.parametrize("doc", [{"mode": "fisher", "goods": 2, "buyers": 5}, [1, 2]])
+    def test_malformed_structure_is_a_parse_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(ParseError):
+            load_market(path)
+
+    def test_malformed_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        write_json(path, {"mode": "fisher", "goods": 2, "buyers": [
+            {"budget": "a", "utility": {"family": "ces", "weights": [1, 1], "rho": 0.5}}]})
+        assert main(["solve", "--market", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(fuzzed_documents())
+    def test_fuzzed_documents_load_or_raise(self, doc):
+        # Each document either loads, and then writing it, loading that file
+        # and writing again reproduces the first file byte for byte, or it
+        # raises a PrdynError (exit 2 from the CLI), never another exception.
+        with tempfile.TemporaryDirectory() as tmp:
+            src, once, twice = (Path(tmp) / name for name in ("src", "once", "twice"))
+            src.write_text(json.dumps(doc))
+            try:
+                spec = load_market(src)
+            except PrdynError:
+                return
+            write_market(spec, once)
+            write_market(load_market(once), twice)
+            assert once.read_bytes() == twice.read_bytes()
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -101,7 +190,8 @@ class TestSolve:
         mfile = tmp_path / "m.json"
         write_market(near_linear_fisher_market("ces", 1), mfile)
         out = tmp_path / "sol"
-        assert main(["solve", "--market", str(mfile), "--out", str(out)]) == 1
+        # The oracle solves this market in about a dozen steps; one is too few.
+        assert main(["solve", "--market", str(mfile), "--max-iters", "1", "--out", str(out)]) == 1
         doc = json.loads((out / "equilibrium.json").read_text())
         assert doc["converged"] is False
         assert all(np.isfinite(doc["p_star"])) and min(doc["p_star"]) > 0

@@ -19,7 +19,10 @@ from prdyn.errors import (
     NonPositivePrice,
     PriceNotDominated,
 )
-from conftest import FAMILIES, random_utility
+from prdyn.demand import demand_jacobian, demand_rows, kkt_rows
+from prdyn.market import income
+from conftest import FAMILIES, random_fisher_market, random_utility
+from test_exchange import random_exchange_market
 
 
 class TestClosedForms:
@@ -194,3 +197,24 @@ class TestGsAndNormalGoods:
             p_hi[bump] *= rng.uniform(1.0, 3.0, size=int(bump.sum()))
             assert check_gs_property(u, p, p_hi, e).passed
             assert check_normal_goods(u, p, e, e * float(rng.uniform(1.0, 3.0))).passed
+
+
+@pytest.mark.parametrize("exchange", [False, True])
+def test_demand_jacobian_matches_central_differences(exchange, rng):
+    families = [FAMILIES[i % 3] for i in range(4)]
+    market = (random_exchange_market(families, 4, 5, rng) if exchange
+              else random_fisher_market(families, 4, 5, rng))
+    rows = kkt_rows(market.utilities)
+    p = rng.uniform(0.5, 2.0, 5)
+
+    def z(u):
+        q = np.exp(u)
+        return demand_rows(rows, q, income(market, q)).sum(axis=0)
+
+    e = income(market, p)
+    eps = market.ownership * p / e[:, None] if exchange else 0.0
+    J = demand_jacobian(rows, p, demand_rows(rows, p, e), e, eps)
+    h = 1e-6
+    fd = np.column_stack([(z(np.log(p) + h * d) - z(np.log(p) - h * d)) / (2 * h)
+                          for d in np.eye(5)])
+    assert np.allclose(J, fd, rtol=1e-6, atol=1e-8)

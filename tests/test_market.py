@@ -44,6 +44,12 @@ def test_nonfinite_weight_rejected(make):
             make([bad, 1.0])
 
 
+def test_cobb_douglas_weights_with_infinite_sum_rejected():
+    # Normalizing by an infinite sum would turn every weight into NaN.
+    with pytest.raises(UtilityParamInvalid, match="finite sum"):
+        CobbDouglas(weights=[1e308, 1e308])
+
+
 def test_overlapping_endowments_rejected():
     spec = MarketSpec(
         n_buyers=2,

@@ -1,10 +1,10 @@
 """Property-based tests of the bid-share kernel and one dynamics step on
-mixed-family markets, of demand over all families, and of the potential
-diagnostics along whole runs. Derandomized, so every process draws the same
-instances."""
+mixed-family markets, of the equilibrium oracle and of demand over all
+families, and of the potential diagnostics along whole runs. Derandomized,
+so every process draws the same instances."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -35,6 +35,7 @@ from prdyn import (
 from prdyn.utilities import shares
 
 from conftest import FAMILIES, random_fisher_market
+from test_equilibrium import assert_verified
 from test_exchange import random_exchange_market
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
@@ -117,6 +118,25 @@ def test_corresponding_price_spends_the_budget(drawn):
     for u, x, e in zip(market.utilities, X, market.budgets):
         q = corresponding_price(u, x, e)
         assert abs(q @ x - e) <= 1e-12 * e
+
+
+def _one_buyer_ces(rho):
+    """The 1 x 2 CES market on which a fixed-gain price update fails from
+    rho = 0.85 on, in the (market, weights) form that markets() draws."""
+    utilities = (CES(weights=[1.0, 2.0], rho=rho),)
+    return validate_market(MarketSpec(1, 2, utilities, Mode.FISHER, budgets=[1.0])), None
+
+
+@PROPERTY
+@given(st.sampled_from(list(Mode)).flatmap(markets))
+@example(_one_buyer_ces(0.85))
+@example(_one_buyer_ces(0.875))
+@example(_one_buyer_ces(0.95))
+@example(_one_buyer_ces(0.99))
+def test_oracle_converges_and_verifies(drawn):
+    market, _ = drawn
+    solve = solve_fisher_eq if market.mode is Mode.FISHER else solve_exchange_eq
+    assert_verified(market, solve(market))
 
 
 @st.composite

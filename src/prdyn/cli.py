@@ -1,7 +1,7 @@
 """Command-line surface: gen | solve | run | verify.
 
 Market configs are JSON; traces are CSV (prices and potentials per recorded
-iteration, full bid/allocation dumps behind --full-dump); summaries and
+iteration, the bids and bank balances behind --full-dump); summaries and
 diagnostics are JSON. All floats are serialized with shortest round-trip
 rendering, so identical runs produce byte-identical files.
 """
@@ -53,8 +53,22 @@ def _field(entry: dict, name: str, convert, buyer: int):
         raise ParseError(f"buyer {buyer}: bad {name} {value!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected a JSON integer")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a JSON number")
+    return float(value)
+
+
 def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON list of numbers")
+    return np.array([_number(v) for v in value], dtype=float)
 
 
 def _utility_from_json(doc, buyer: int):
@@ -66,7 +80,7 @@ def _utility_from_json(doc, buyer: int):
             return CobbDouglas(weights=_field(doc, "weights", _vector, buyer))
         if family == "ces":
             return CES(weights=_field(doc, "weights", _vector, buyer),
-                       rho=_field(doc, "rho", float, buyer))
+                       rho=_field(doc, "rho", _number, buyer))
         if family == "separable_power":
             return SeparablePower(weights=_field(doc, "weights", _vector, buyer),
                                   exponents=_field(doc, "rhos", _vector, buyer))
@@ -97,26 +111,32 @@ def load_market(path) -> MarketSpec:
         raise ParseError(f"{path}: a market config must be a JSON object")
     try:
         mode = Mode(doc["mode"])
-        m = int(doc["goods"])
+        goods = doc["goods"]
         buyers = doc["buyers"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad top-level field: {exc}") from exc
+    try:
+        m = _integer(goods)
+    except TypeError as exc:
+        raise ParseError(f"{path}: bad goods {goods!r}: {exc}") from exc
     if not isinstance(buyers, list) or not all(isinstance(b, dict) for b in buyers):
         raise ParseError(f"{path}: buyers must be a list of JSON objects")
 
     utilities = [_utility_from_json(b.get("utility", {}), i) for i, b in enumerate(buyers)]
     if mode is Mode.FISHER:
-        budgets = np.array([_field(b, "budget", float, i) for i, b in enumerate(buyers)])
+        budgets = np.array([_field(b, "budget", _number, i) for i, b in enumerate(buyers)])
         spec = MarketSpec(
             n_buyers=len(buyers), n_goods=m, utilities=tuple(utilities),
             mode=mode, budgets=budgets,
         )
     else:
-        def goods(value):
-            return tuple(int(j) - 1 for j in value)
+        def good_indices(value):
+            if not isinstance(value, list):
+                raise TypeError("expected a JSON list of good indices")
+            return tuple(_integer(j) - 1 for j in value)
 
-        endow = tuple(_field(b, "endowment_goods", goods, i) for i, b in enumerate(buyers))
-        alpha = np.array([_field(b, "alpha", float, i) for i, b in enumerate(buyers)])
+        endow = tuple(_field(b, "endowment_goods", good_indices, i) for i, b in enumerate(buyers))
+        alpha = np.array([_field(b, "alpha", _number, i) for i, b in enumerate(buyers)])
         spec = MarketSpec(
             n_buyers=len(buyers), n_goods=m, utilities=tuple(utilities),
             mode=mode, endowments=endow, laziness=alpha,
@@ -191,47 +211,70 @@ def generate_market(
 
 def _trace_header(market: MarketSpec, full_dump: bool) -> list:
     """The trace CSV's columns, in file order: iteration, p_j, potential,
-    max_price_delta and, in a full dump, b_i_j, x_i_j and (exchange) B_i, e_i."""
+    max_price_delta and, in a full dump, b_i_j and (exchange) B_i. The rest
+    of the PR state is derived: x = b / p and e = alpha * B."""
     n, m = market.n_buyers, market.n_goods
     header = ["iteration"] + [f"p_{j + 1}" for j in range(m)] + ["potential", "max_price_delta"]
     if full_dump:
         header += [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
-        header += [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
         if market.mode is Mode.EXCHANGE:
-            header += [f"B_{i + 1}" for i in range(n)] + [f"e_{i + 1}" for i in range(n)]
+            header += [f"B_{i + 1}" for i in range(n)]
     return header
 
 
 def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool = False):
     """Write one CSV row per record, each float as its shortest round-trip
     repr and each line ended by \\r\\n, as csv.writer writes them (no field
-    needs quoting). Each row is formatted from one list of Python floats."""
+    needs quoting). Each row is formatted from one list of Python floats.
+    An exchange full dump stores B but not e, so each record's spend_e must
+    be laziness * budgets_B bit for bit, or PrdynError is raised."""
     exchange = full_dump and market.mode is Mode.EXCHANGE
+    if exchange and trace.records:
+        B = np.array([r.budgets_B for r in trace.records])
+        E = np.array([r.spend_e for r in trace.records])
+        bad = np.flatnonzero(np.any(E.view(np.uint64) != (market.laziness * B).view(np.uint64), 1))
+        if bad.size:
+            raise PrdynError(
+                f"record at iteration {trace.records[bad[0]].iteration}: spend_e is not "
+                "laziness * budgets_B, so a full dump could not replay it"
+            )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trace_header(market, full_dump)) + "\r\n")
         for r in trace.records:
             parts = [r.prices, (r.potential_value, r.max_price_delta)]
             if full_dump:
-                parts += [r.bids.ravel(), r.allocation.ravel()]
+                parts.append(r.bids.ravel())
             if exchange:
-                parts += [r.budgets_B, r.spend_e]
+                parts.append(r.budgets_B)
             values = np.concatenate(parts).tolist()
             fh.write(f"{r.iteration},{','.join(map(repr, values))}\r\n")
 
 
+# A dump's p_j must be the column sum of its bids to this relative tolerance.
+PRICE_RTOL = 1e-12
+
+
 def read_trace(path, market: MarketSpec) -> DynamicsTrace:
     """Rebuild a trace from a --full-dump CSV, whose header must be exactly
-    the one `run --full-dump` writes for this market. A malformed row, a
-    non-integral iteration or a header that does not fit the market raises
-    ParseError; a non-finite price, bid, allocation, bank balance or
-    spending entry raises NonPositiveEntry. The records' arrays are views of
-    one (T, C) array parsed from the whole file."""
+    the one `run --full-dump` writes for this market, or the older layout
+    that also stored x_i_j after the bids and e_i after the B_i. A malformed
+    row, a non-integral iteration, a header that does not fit the market or a
+    price that is not the sum of its bids raises ParseError; a non-finite
+    entry raises NonPositiveEntry. The allocations are rebuilt as b / p and
+    the spending as laziness * B, bit for bit as the driver computes them;
+    the values of the older layout's x and e columns are ignored. The
+    records' arrays are views of a few whole-trace arrays."""
     n, m = market.n_buyers, market.n_goods
+    exchange = market.mode is Mode.EXCHANGE
     header = _trace_header(market, True)
+    b0, b1 = m + 3, m + 3 + n * m
+    legacy = header[:b1] + ["x" + name[1:] for name in header[b0:b1]] + header[b1:]
+    if exchange:
+        legacy += [f"e_{i + 1}" for i in range(n)]
     trace = DynamicsTrace(mode=market.mode)
     with open(path) as fh:
         found = fh.readline().rstrip("\n").split(",")
-        if found != header:
+        if found != header and found != legacy:
             if "b_1_1" not in found:
                 raise ParseError(f"{path}: trace has no bid columns; re-run with --full-dump")
             raise ParseError(
@@ -247,8 +290,8 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
         except ValueError as exc:
             # loadtxt names the body row and column; drop its hint on usecols
             raise ParseError(f"{path}: malformed trace row: {str(exc).split(';')[0]}") from exc
-    if A.shape[1] != len(header):
-        raise ParseError(f"{path}: trace rows have {A.shape[1]} fields, the header {len(header)}")
+    if A.shape[1] != len(found):
+        raise ParseError(f"{path}: trace rows have {A.shape[1]} fields, the header {len(found)}")
     iterations = A[:, 0]
     bad = np.flatnonzero((iterations != np.floor(iterations)) | np.isinf(iterations))
     if bad.size:
@@ -260,24 +303,29 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), A.shape[1])
         raise NonPositiveEntry(
-            f"{path}: {header[col]} = {float(A[row, col])!r} at iteration "
+            f"{path}: {found[col]} = {float(A[row, col])!r} at iteration "
             f"{int(iterations[row])}; trace entries must be finite"
         )
-    b0, x0, B0 = m + 3, m + 3 + n * m, m + 3 + 2 * n * m
-    for row, it in zip(A, map(int, iterations.tolist())):
-        rec = TraceRecord(
-            iteration=it,
-            prices=row[1:1 + m],
-            bids=row[b0:x0].reshape(n, m),
-            allocation=row[x0:B0].reshape(n, m),
-            max_price_delta=float(row[m + 2]),
-            potential_value=float(row[m + 1]),
+    P, bids = A[:, 1:1 + m], A[:, b0:b1].reshape(-1, n, m)
+    sums = np.add.reduce(bids, axis=1)
+    off = np.abs(P - sums) > PRICE_RTOL * np.abs(sums)
+    if off.any():
+        row, j = divmod(int(np.argmax(off)), m)
+        raise ParseError(
+            f"{path}: p_{j + 1} = {float(P[row, j])!r} at iteration {int(iterations[row])} "
+            f"is not the sum {float(sums[row, j])!r} of its bids"
         )
-        if market.mode is Mode.EXCHANGE:
-            rec.budgets_B, rec.spend_e = row[B0:B0 + n], row[B0 + n:]
-        trace.records.append(rec)
-    if market.mode is Mode.EXCHANGE:
-        trace.track_budget_drift(A[:, B0:B0 + n])
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0: its bids fail diagnostics
+        X = bids / P[:, None, :]
+    columns = [
+        map(int, iterations.tolist()), P, bids, X, A[:, m + 2].tolist(), A[:, m + 1].tolist(),
+    ]
+    if exchange:
+        B0 = found.index("B_1")
+        B = A[:, B0:B0 + n]
+        columns += [B, market.laziness * B]
+        trace.track_budget_drift(B)
+    trace.records = [TraceRecord(*fields) for fields in zip(*columns)]
     trace.n_steps = trace.records[-1].iteration + 1
     return trace
 

@@ -140,6 +140,26 @@ class TestLoadMalformed:
         with pytest.raises(ParseError, match=match):
             load_market(path)
 
+    @pytest.mark.parametrize("mode, path, value, match", [
+        ("fisher", ("goods",), 3.5, "bad goods 3.5"),
+        ("fisher", ("buyers", 0, "budget"), "1", "buyer 0: bad budget '1'"),
+        ("fisher", ("buyers", 0, "budget"), True, "buyer 0: bad budget True"),
+        ("fisher", ("buyers", 1, "utility", "weights"), ["1", "2", "3"], "buyer 1: bad weights"),
+        ("exchange", ("buyers", 1, "alpha"), "0.5", "buyer 1: bad alpha '0.5'"),
+        ("exchange", ("buyers", 0, "endowment_goods"), [1.5], r"buyer 0: bad endowment_goods \[1.5\]"),
+    ])
+    def test_loosely_typed_field_is_a_parse_error(self, tmp_path, mode, path, value, match):
+        # goods and good indices must be JSON integers, the other numeric
+        # fields JSON numbers: no float, string or bool is coerced
+        doc = _market_doc("ces", Mode(mode))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        write_json(tmp_path / "bad.json", doc)
+        with pytest.raises(ParseError, match=match):
+            load_market(tmp_path / "bad.json")
+
     @pytest.mark.parametrize("doc", [{"mode": "fisher", "goods": 2, "buyers": 5}, [1, 2]])
     def test_malformed_structure_is_a_parse_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -316,26 +336,36 @@ def _set_cell(row: int, col: int, value: str):
     return tamper
 
 
-def _csv_writer_trace(trace, market, path, full_dump: bool):
+def _csv_writer_trace(trace, market, path, full_dump: bool, legacy: bool = False):
     """The trace CSV as csv.writer writes it, one repr(float(v)) per cell:
-    the reference that write_trace must match byte for byte."""
+    the reference that write_trace must match byte for byte. With legacy,
+    a full dump also holds the derived allocations x_i_j after the bids and,
+    in exchange mode, the spending e_i after the bank balances, as full dumps
+    did before those columns were dropped; read_trace still accepts them."""
     n, m = market.n_buyers, market.n_goods
     exchange = full_dump and market.mode is Mode.EXCHANGE
     header = ["iteration"] + [f"p_{j + 1}" for j in range(m)] + ["potential", "max_price_delta"]
     if full_dump:
         header += [f"b_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+    if full_dump and legacy:
         header += [f"x_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
     if exchange:
-        header += [f"B_{i + 1}" for i in range(n)] + [f"e_{i + 1}" for i in range(n)]
+        header += [f"B_{i + 1}" for i in range(n)]
+    if exchange and legacy:
+        header += [f"e_{i + 1}" for i in range(n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in trace.records:
             values = [*r.prices, r.potential_value, r.max_price_delta]
             if full_dump:
-                values += [*r.bids.ravel(), *r.allocation.ravel()]
+                values += [*r.bids.ravel()]
+            if full_dump and legacy:
+                values += [*r.allocation.ravel()]
             if exchange:
-                values += [*r.budgets_B, *r.spend_e]
+                values += [*r.budgets_B]
+            if exchange and legacy:
+                values += [*r.spend_e]
             writer.writerow([str(r.iteration)] + [repr(float(v)) for v in values])
 
 
@@ -352,19 +382,36 @@ class TestTraceCsv:
 
         trace = DynamicsTrace(mode=mode)
         for t in range(4):
+            # an exchange full dump stores B only, so e must be alpha * B
+            B = values(2, t + 3) if mode is Mode.EXCHANGE else None
             trace.records.append(TraceRecord(
                 iteration=t, prices=values(3, t), bids=values((2, 3), t + 1),
                 allocation=values((2, 3), t + 2),
                 max_price_delta=float("inf") if t == 0 else float(pool[t + 6]),
                 potential_value=float("nan") if t < 2 else float(pool[t]),
-                budgets_B=values(2, t + 3) if mode is Mode.EXCHANGE else None,
-                spend_e=values(2, t + 4) if mode is Mode.EXCHANGE else None,
+                budgets_B=B, spend_e=None if B is None else market.laziness * B,
             ))
         write_trace(trace, market, tmp_path / "trace.csv", full_dump=full_dump)
         _csv_writer_trace(trace, market, tmp_path / "reference.csv", full_dump)
         written = (tmp_path / "trace.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b"5e-324" in written and b"1e+16" in written and b"nan" in written
+
+    def test_spending_not_alpha_times_balance_is_refused(self, tmp_path):
+        # Only a library run from a hand-built state can record such an e; a
+        # full dump, which stores B alone, could not replay it.
+        market = generate_market(2, 3, "ces", seed=1, mode=Mode.EXCHANGE)
+        B = np.array([0.25, 0.75])
+        trace = DynamicsTrace(mode=Mode.EXCHANGE)
+        for t, e in enumerate([market.laziness * B, np.nextafter(market.laziness * B, 1.0)]):
+            trace.records.append(TraceRecord(
+                iteration=t, prices=np.ones(3), bids=np.ones((2, 3)), allocation=np.ones((2, 3)),
+                max_price_delta=0.0, budgets_B=B, spend_e=e,
+            ))
+        with pytest.raises(PrdynError, match="iteration 1: spend_e"):
+            write_trace(trace, market, tmp_path / "trace.csv", full_dump=True)
+        assert not (tmp_path / "trace.csv").exists()
+        write_trace(trace, market, tmp_path / "trace.csv", full_dump=False)
 
 
 class TestVerify:
@@ -407,11 +454,55 @@ class TestVerify:
         run_doc = (run_out / "diagnostics.json").read_bytes()
         assert (verify_out / "diagnostics.json").read_bytes() == run_doc
 
+    @pytest.mark.parametrize("case", ["fisher", "exchange"])
+    def test_legacy_dump_verifies_to_run_diagnostics(self, tmp_path, case):
+        """A full dump in the older layout, which also stored x_i_j and e_i,
+        still replays: verify writes run's diagnostics.json byte for byte.
+        Dropping those columns from it gives run's trace.csv byte for byte."""
+        from prdyn import (
+            StopRule, default_initial_bids, default_initial_exchange, run_exchange, run_fisher,
+        )
+        from prdyn.cli import _diagnostics_doc
+
+        gen_args, run_args, run = {
+            "fisher": (["3", "4", "separable_power", "--seed", "2"], ["--price-tol", "1e-10"],
+                       lambda m: run_fisher(m, default_initial_bids(m), StopRule(20000, 1e-10))),
+            "exchange": (["3", "4", "ces", "--mode", "exchange", "--seed", "4"],
+                         ["--max-iters", "300", "--price-tol", "0"],
+                         lambda m: run_exchange(m, default_initial_exchange(m), StopRule(300, 0.0))),
+        }[case]
+        mfile, run_out, legacy_csv = tmp_path / "m.json", tmp_path / "run", tmp_path / "legacy.csv"
+        main(["gen", *gen_args, "--out", str(mfile)])
+        assert main([
+            "run", "--market", str(mfile), *run_args, "--diagnostics", "--full-dump",
+            "--out", str(run_out),
+        ]) == 0
+        market = load_market(mfile)
+        ref = run(market)
+        _diagnostics_doc(market, ref)  # fills each record's potential, as run does
+        _csv_writer_trace(ref, market, legacy_csv, full_dump=True, legacy=True)
+        assert main([
+            "verify", "--market", str(mfile), "--trace", str(legacy_csv),
+            "--out", str(tmp_path / "v"),
+        ]) == 0
+        run_doc = (run_out / "diagnostics.json").read_bytes()
+        assert (tmp_path / "v" / "diagnostics.json").read_bytes() == run_doc
+        with open(legacy_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [k for k, name in enumerate(rows[0]) if name[0] not in "xe"]
+        with open(tmp_path / "dropped.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([row[k] for k in keep] for row in rows)
+        assert (tmp_path / "dropped.csv").read_bytes() == (run_out / "trace.csv").read_bytes()
+
     @staticmethod
-    def _verify_tampered(tmp_path, capsys, mode: str, tamper, market_mode: str = ""):
+    def _verify_tampered(
+        tmp_path, capsys, mode: str, tamper, market_mode: str = "", legacy: bool = False,
+    ):
         """Run a 300-step full dump of a 3x4 CES market, rewrite its rows
         (the header first) as tamper(rows), and return the exit code and the
-        error of verify against the market of market_mode (default: mode)."""
+        error of verify against the market of market_mode (default: mode).
+        With legacy, the dump is first rewritten in the older layout that
+        also holds the x_i_j and e_i columns."""
         mfile, vfile = tmp_path / "m.json", tmp_path / "v.json"
         for path, m in ((mfile, mode), (vfile, market_mode or mode)):
             main(["gen", "3", "4", "ces", "--mode", m, "--seed", "4", "--out", str(path)])
@@ -421,6 +512,9 @@ class TestVerify:
             "--diagnostics", "--full-dump", "--out", str(run_out),
         ]) == 0
         trace_csv = run_out / "trace.csv"
+        if legacy:
+            market = load_market(mfile)
+            _csv_writer_trace(read_trace(trace_csv, market), market, trace_csv, True, legacy=True)
         with open(trace_csv, newline="") as fh:
             rows = tamper(list(csv.reader(fh)))
         with open(trace_csv, "w", newline="") as fh:
@@ -435,22 +529,35 @@ class TestVerify:
         return code, json.loads(capsys.readouterr().err)["error"]
 
     @classmethod
-    def _verify_with_nan(cls, tmp_path, capsys, mode: str, column: str):
+    def _verify_with_nan(cls, tmp_path, capsys, mode: str, column: str, legacy: bool = False):
         """verify's exit code and error after one entry of the middle row is set to NaN."""
         def set_nan(rows):
             rows[len(rows) // 2][rows[0].index(column)] = "nan"
             return rows
-        return cls._verify_tampered(tmp_path, capsys, mode, set_nan)
+        return cls._verify_tampered(tmp_path, capsys, mode, set_nan, legacy=legacy)
 
     @pytest.mark.parametrize("mode", ["fisher", "exchange"])
     def test_nan_bid_in_trace_is_error(self, tmp_path, capsys, mode):
         assert self._verify_with_nan(tmp_path, capsys, mode, "b_1_1") == (2, "NonPositiveEntry")
 
-    @pytest.mark.parametrize("column", ["B_1", "p_1", "x_1_1"])
+    @pytest.mark.parametrize("column", ["B_1", "p_1", "x_1_1", "e_1"])
     def test_nan_in_exchange_trace_is_error(self, tmp_path, capsys, column):
-        assert self._verify_with_nan(tmp_path, capsys, "exchange", column) == (
+        # x_i_j and e_i are only in the older layout, whose values are ignored
+        # but must still be finite
+        legacy = column[0] in "xe"
+        assert self._verify_with_nan(tmp_path, capsys, "exchange", column, legacy) == (
             2, "NonPositiveEntry"
         )
+
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    def test_price_not_sum_of_bids_is_error(self, tmp_path, capsys, mode):
+        # allocations are rebuilt as b / p, so a tampered p must not pass
+        def double_p1(rows):
+            rows[150][1] = repr(2 * float(rows[150][1]))
+            return rows
+        assert self._verify_tampered(tmp_path, capsys, mode, double_p1) == (2, "ParseError")
+        with pytest.raises(ParseError, match=r"p_1 = .* at iteration 149 is not the sum"):
+            read_trace(tmp_path / "run" / "trace.csv", load_market(tmp_path / "m.json"))
 
     @pytest.mark.parametrize(
         "market_mode, tamper, error",

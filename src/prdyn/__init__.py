@@ -45,7 +45,7 @@ from .market import (
     FisherState,
     MarketSpec,
     Mode,
-    TraceRecord,
+    TraceBlock,
     validate_market,
 )
 from .utilities import (

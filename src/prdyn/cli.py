@@ -28,7 +28,7 @@ from .dynamics import (
     run_fisher,
 )
 from .errors import NonPositiveEntry, ParseError, PrdynError
-from .market import DynamicsTrace, MarketSpec, Mode, TraceRecord, validate_market
+from .market import DynamicsTrace, MarketSpec, Mode, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
 log = logging.getLogger("prdyn")
@@ -222,32 +222,31 @@ def _trace_header(market: MarketSpec, full_dump: bool) -> list:
     return header
 
 
-def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool = False):
-    """Write one CSV row per record, each float as its shortest round-trip
-    repr and each line ended by \\r\\n, as csv.writer writes them (no field
-    needs quoting). Each row is formatted from one list of Python floats.
-    An exchange full dump stores B but not e, so each record's spend_e must
-    be laziness * budgets_B bit for bit, or PrdynError is raised."""
+def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool = False,
+                potential=None):
+    """Write one CSV row per recorded iteration, each float as its shortest
+    round-trip repr and each line ended by \\r\\n, as csv.writer writes them
+    (no field needs quoting). The potential column holds the series
+    `potential`, one value per row, or nan when it is None. Each block of rows
+    is formatted from one nested list of Python floats."""
     exchange = full_dump and market.mode is Mode.EXCHANGE
-    if exchange and trace.records:
-        B = np.array([r.budgets_B for r in trace.records])
-        E = np.array([r.spend_e for r in trace.records])
-        bad = np.flatnonzero(np.any(E.view(np.uint64) != (market.laziness * B).view(np.uint64), 1))
-        if bad.size:
-            raise PrdynError(
-                f"record at iteration {trace.records[bad[0]].iteration}: spend_e is not "
-                "laziness * budgets_B, so a full dump could not replay it"
-            )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trace_header(market, full_dump)) + "\r\n")
-        for r in trace.records:
-            parts = [r.prices, (r.potential_value, r.max_price_delta)]
+        if potential is None:
+            potential = np.full(len(trace.records), np.nan)
+        potential = np.asarray(potential, dtype=float)[:, None]
+        done = 0
+        for block in trace.blocks:
+            k = len(block)
+            parts = [block.prices, potential[done:done + k], block.stop_delta[:, None]]
             if full_dump:
-                parts.append(r.bids.ravel())
+                parts.append(block.bids.reshape(k, -1))
             if exchange:
-                parts.append(r.budgets_B)
-            values = np.concatenate(parts).tolist()
-            fh.write(f"{r.iteration},{','.join(map(repr, values))}\r\n")
+                parts.append(block.budgets_B)
+            rows = np.hstack(parts).tolist()
+            for t, values in zip(block.iteration.tolist(), rows):
+                fh.write(f"{int(t)},{','.join(map(repr, values))}\r\n")
+            done += k
 
 
 # A dump's p_j must be the column sum of its bids to this relative tolerance.
@@ -260,10 +259,11 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
     that also stored x_i_j after the bids and e_i after the B_i. A malformed
     row, a non-integral iteration, a header that does not fit the market or a
     price that is not the sum of its bids raises ParseError; a non-finite
-    entry raises NonPositiveEntry. The allocations are rebuilt as b / p and
-    the spending as laziness * B, bit for bit as the driver computes them;
-    the values of the older layout's x and e columns are ignored. The
-    records' arrays are views of a few whole-trace arrays."""
+    entry raises NonPositiveEntry. The trace's blocks are views of the one
+    array the body parses to; it derives the allocations as b / p and the
+    spending as laziness * B, bit for bit as the driver computes them. The
+    potential column and the values of the older layout's x and e columns are
+    ignored."""
     n, m = market.n_buyers, market.n_goods
     exchange = market.mode is Mode.EXCHANGE
     header = _trace_header(market, True)
@@ -271,7 +271,6 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
     legacy = header[:b1] + ["x" + name[1:] for name in header[b0:b1]] + header[b1:]
     if exchange:
         legacy += [f"e_{i + 1}" for i in range(n)]
-    trace = DynamicsTrace(mode=market.mode)
     with open(path) as fh:
         found = fh.readline().rstrip("\n").split(",")
         if found != header and found != legacy:
@@ -283,7 +282,7 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
             )
         body = fh.tell()
         if not fh.readline():
-            return trace  # header only: no records
+            return DynamicsTrace(market.mode)  # header only: no rows
         fh.seek(body)
         try:
             A = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
@@ -315,19 +314,11 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
             f"{path}: p_{j + 1} = {float(P[row, j])!r} at iteration {int(iterations[row])} "
             f"is not the sum {float(sums[row, j])!r} of its bids"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0: its bids fail diagnostics
-        X = bids / P[:, None, :]
-    columns = [
-        map(int, iterations.tolist()), P, bids, X, A[:, m + 2].tolist(), A[:, m + 1].tolist(),
-    ]
+    B = None
     if exchange:
         B0 = found.index("B_1")
         B = A[:, B0:B0 + n]
-        columns += [B, market.laziness * B]
-        trace.track_budget_drift(B)
-    trace.records = [TraceRecord(*fields) for fields in zip(*columns)]
-    trace.n_steps = trace.records[-1].iteration + 1
-    return trace
+    return DynamicsTrace.stacked(market, iterations, P, bids, A[:, m + 2], B)
 
 
 def _write_json(doc: dict, path):
@@ -357,30 +348,37 @@ def cmd_solve(args) -> int:
         eq = eqmod.solve_fisher_eq(market, tol=args.tol, max_iters=args.max_iters)
     else:
         eq = eqmod.solve_exchange_eq(market, tol=args.tol, max_iters=args.max_iters)
+    residuals = {
+        "clearing": eq.clearing,
+        "optimality_gap": eq.optimality_gap,
+        "budget_gap": eq.budget_gap,
+    }
+    infinite = sorted(name for name, value in residuals.items() if not np.isfinite(value))
     _write_json(
         {
             "converged": eq.converged,
             "iterations": eq.iterations,
             "p_star": list(eq.p_star),
             "x_star": [list(row) for row in eq.x_star],
-            "residuals": {
-                "clearing": eq.clearing,
-                "optimality_gap": eq.optimality_gap,
-                "budget_gap": eq.budget_gap,
-            },
+            # JSON has no infinity or NaN: a non-finite residual is null
+            "residuals": {name: None if name in infinite else value
+                          for name, value in residuals.items()},
         },
         out / "equilibrium.json",
     )
     if not eq.converged:
         log.error("equilibrium solver did not converge (clearing %.3e)", eq.clearing)
         return 1
+    if infinite:
+        log.error("equilibrium residuals %s are not finite", ", ".join(infinite))
+        return 1
     return 0
 
 
-def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace) -> dict:
+def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace):
     """The diagnostics.json document of a consecutive trace, the same for a
-    fresh run and for a replayed --full-dump trace. Also fills each record's
-    potential_value."""
+    fresh run and for a replayed --full-dump trace, and the potential series
+    it checked, one value per row."""
     if market.mode is Mode.FISHER:
         eq = eqmod.solve_fisher_eq(market)
         report = diagnose_fisher(trace, market, eq)
@@ -398,15 +396,13 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace) -> dict:
         )
         passed = report.passed and verify.passed
         doc = {"budget_drift": trace.budget_drift, "final_demand_residual": verify.demand_residual}
-    for rec, value in zip(trace.records, report.potential_series):
-        rec.potential_value = value
     doc.update(
         oracle_converged=eq.converged,
         passed=passed and eq.converged,
         monotone_violations=report.monotone_violations,
         final_potential=report.potential_series[-1],
     )
-    return doc
+    return doc, report.potential_series
 
 
 def _run_one(args) -> int:
@@ -420,9 +416,9 @@ def _run_one(args) -> int:
     else:
         trace = run_exchange(market, default_initial_exchange(market), stop, args.record_every)
 
-    diag_passed = True
+    diag_passed, potential = True, None
     if args.diagnostics:
-        diag_doc = _diagnostics_doc(market, trace)
+        diag_doc, potential = _diagnostics_doc(market, trace)
         diag_passed = diag_doc["passed"]
         _write_json(diag_doc, out / "diagnostics.json")
 
@@ -438,7 +434,7 @@ def _run_one(args) -> int:
         },
         out / "summary.json",
     )
-    write_trace(trace, market, out / "trace.csv", full_dump=args.full_dump)
+    write_trace(trace, market, out / "trace.csv", args.full_dump, potential)
 
     not_converged = trace.stop_reason == "max_iters" and args.price_tol > 0
     if not_converged:
@@ -481,7 +477,7 @@ def cmd_verify(args) -> int:
     trace = read_trace(args.trace, market)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = _diagnostics_doc(market, trace)
+    doc, _ = _diagnostics_doc(market, trace)
     _write_json(doc, out / "diagnostics.json")
     return 0 if doc["passed"] else 1
 

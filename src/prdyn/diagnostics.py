@@ -2,10 +2,11 @@
 
 All potentials are unnormalized KL divergences between positive measures
 (equilibrium spending / prices vs. the current iterate). Each series is one
-array expression over records stacked along a leading time axis. A trace is
-stacked in blocks of at most ``BLOCK_ENTRIES`` bids, so a check holds one
-block's arrays plus a few floats per record, whatever the trace length; the
-running mean of the prices carries its cumulative sum from block to block.
+array expression over a trace's rows stacked along a leading time axis. A
+check walks the trace's stored blocks of at most ``BLOCK_ENTRIES`` bids, so
+beyond the trace it holds one block's derived arrays plus a few floats per
+row, whatever the trace length; the running mean of the prices carries its
+cumulative sum from block to block.
 The single-state functions (``kl_divergence``, ``fisher_potential``,
 ``exchange_potential``, ``lemma_33_check``) are one-row calls of the same
 kernels. Checks never mutate the trace.
@@ -30,7 +31,7 @@ from .errors import (
     NonPositivePrice,
     ShapeMismatch,
 )
-from .market import BLOCK_ENTRIES, DynamicsTrace, ExchangeState, MarketSpec, Mode
+from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, TraceBlock
 from .utilities import UtilitySpec, shares
 
 DEFAULT_SLACK = 1e-9
@@ -82,16 +83,12 @@ def _require_consecutive(trace: DynamicsTrace):
         raise NonConsecutiveTrace("diagnostics need every iteration recorded from t=0")
 
 
-def _blocks(trace: DynamicsTrace, *fields: str) -> Iterator[Tuple[slice, List[np.ndarray]]]:
-    """The named record fields of each run of records that fits in
-    BLOCK_ENTRIES, stacked along a leading time axis, with the run's slice of
-    the trace."""
-    records = trace.records
-    size = max(1, BLOCK_ENTRIES // records[0].bids.size)
-    for start in range(0, len(records), size):
-        block = records[start : start + size]
-        stacked = [np.array([getattr(r, name) for r in block], dtype=float) for name in fields]
-        yield slice(start, start + len(block)), stacked
+def _blocks(trace: DynamicsTrace) -> Iterator[Tuple[slice, TraceBlock]]:
+    """Each stored block of the trace, with its slice of the rows."""
+    start = 0
+    for block in trace.blocks:
+        yield slice(start, start + len(block)), block
+        start += len(block)
 
 
 def _report(potentials: np.ndarray, excess: np.ndarray, slack: float) -> DiagnosticsReport:
@@ -113,9 +110,9 @@ def check_potential_decrease(
     _require_consecutive(trace)
     potentials = np.empty(len(trace.records))
     price_terms = np.empty(len(trace.records))
-    for rows, (bids, prices) in _blocks(trace, "bids", "prices"):
-        potentials[rows] = _kl_rows(eq.b_star, bids)
-        price_terms[rows] = _kl_rows(eq.p_star, prices)
+    for rows, block in _blocks(trace):
+        potentials[rows] = _kl_rows(eq.b_star, block.bids)
+        price_terms[rows] = _kl_rows(eq.p_star, block.prices)
     excess = potentials[1:] - (potentials[:-1] - price_terms[:-1])
     return _report(potentials, excess, slack)
 
@@ -126,7 +123,8 @@ def _avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult, b0):
     kl0 = fisher_potential(eq.b_star, b0)
     lhs = np.empty(len(trace.records))
     carried = 0.0  # sum of the prices before the block
-    for rows, (prices,) in _blocks(trace, "prices"):
+    for rows, block in _blocks(trace):
+        prices = block.prices.copy()
         prices[0] += carried
         sums = np.cumsum(prices, axis=0)
         carried = sums[-1]
@@ -213,8 +211,8 @@ def check_exchange_potential_decrease(
     _require_consecutive(trace)
     alpha = np.asarray(alpha, dtype=float)
     potentials = np.empty(len(trace.records))
-    for rows, (bids, spend_e) in _blocks(trace, "bids", "spend_e"):
-        potentials[rows] = _exchange_potentials(transformed, alpha, bids, spend_e)
+    for rows, block in _blocks(trace):
+        potentials[rows] = _exchange_potentials(transformed, alpha, block.bids, block.spend_e)
     return _report(potentials, np.diff(potentials), slack)
 
 
@@ -232,8 +230,8 @@ def diagnose_fisher(
     T, lhs, rhs = _avg_price_rate(trace, eq, trace.records[0].bids)
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
     gaps = np.empty(len(trace.records))
-    for rows, (alloc,) in _blocks(trace, "allocation"):
-        gaps[rows] = _lemma_33_gaps(market, eq, alloc, feas_tol=1e-8)
+    for rows, block in _blocks(trace):
+        gaps[rows] = _lemma_33_gaps(market, eq, block.allocation, feas_tol=1e-8)
     report.lemma_gap_min = float(gaps.min())
     rate_ok = bool(np.all(lhs <= rhs + slack))
     lemma_ok = bool(np.all(gaps <= slack))

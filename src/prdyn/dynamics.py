@@ -11,13 +11,13 @@ budget, so B' = e' = budgets exactly.
 ``_pr_map`` resolves a market's constants (the share rows, alpha, 1 - alpha,
 the ownership matrix or the budgets) once, and ``pr_step``, ``lazy_step`` and
 the run driver ``_run`` all step through the map it returns. Each iteration of
-the driver runs only the map, its BID_FLOOR guard and, when the stop rule has
-a positive price_tol, the stop test. A TraceRecord is built only for a kept
-iteration. The rest is settled per block of steps that holds at most
-``BLOCK_ENTRIES`` floats: the budget drift over the bank balances of every
-step, recorded or not, and, when the stop test did not already compute it,
-the ``max_price_delta`` of the kept records. Every value is bit-identical to
-evaluating it step by step.
+the driver runs only the map, its BID_FLOOR guard, the writes of p, b and, in
+an exchange market, B into the rows of a preallocated block of at most
+``BLOCK_ENTRIES`` bids and, when the stop rule has a positive price_tol, the
+stop test. The rest is settled once per block from the stacked state: the
+stop delta of every step, the budget drift over the bank balances of every
+step, recorded or not, and which rows the trace keeps.
+Every value is bit-identical to evaluating it step by step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRunControl, NonPositiveBid, ShapeMismatch, UnderflowDetected
+from .errors import (
+    InconsistentSpending,
+    InvalidRunControl,
+    NonPositiveBid,
+    ShapeMismatch,
+    UnderflowDetected,
+)
 from .market import (
     BLOCK_ENTRIES,
     DynamicsTrace,
@@ -34,7 +40,7 @@ from .market import (
     FisherState,
     MarketSpec,
     Mode,
-    TraceRecord,
+    TraceBlock,
 )
 from .utilities import shares
 
@@ -131,22 +137,48 @@ def default_initial_exchange(market: MarketSpec) -> ExchangeState:
     return ExchangeState(budgets_B=B0, spend_e=e0, bids=b0, iteration=0)
 
 
-def _settle(trace: DynamicsTrace, balances: list, kept: list, prevs: list, watched: str):
-    """Block-wise bookkeeping of the steps since the last call: widen the
-    budget drift by the bank balances of every step, and set the
-    max_price_delta of each kept record from its stop quantity and the one of
-    the step before it (prevs). Empties the lists."""
-    if balances:
-        trace.track_budget_drift(np.array(balances))
-        balances.clear()
-    if kept:
-        diff = np.array([getattr(r, watched) for r in kept])
-        diff -= np.array(prevs)
-        deltas = np.maximum.reduce(np.abs(diff, out=diff).reshape(len(kept), -1), axis=1)
-        for record, delta in zip(kept, deltas.tolist()):
-            record.max_price_delta = delta
-        kept.clear()
-        prevs.clear()
+def _check_spending(market: MarketSpec, B: np.ndarray, e: np.ndarray):
+    """Entry check on an outside exchange state: a trace stores B alone and
+    derives e = laziness * B, so e must be that bit for bit."""
+    if B.shape != (market.n_buyers,) or e.shape != B.shape:
+        raise ShapeMismatch(f"budgets_B shape {B.shape}, spend_e shape {e.shape}, "
+                            f"market of {market.n_buyers} agents")
+    want = market.laziness * B
+    bad = np.flatnonzero(want.view(np.uint64) != e.view(np.uint64))
+    if bad.size:
+        i = bad[0]
+        raise InconsistentSpending(
+            f"agent {i}: spend_e {float(e[i])!r} is not laziness * budgets_B = {float(want[i])!r}"
+        )
+
+
+def _settle(trace: DynamicsTrace, steps: TraceBlock, start: int, count: int, before,
+            record_every: int, done: bool):
+    """Block-wise bookkeeping of the steps start .. start + count - 1, whose
+    state the first count rows of the block `steps` hold: fill in their
+    iterations and stop deltas, widen the budget drift by their bank
+    balances, and add to the trace every record_every-th row and, when the
+    run is done, the last one. A full block whose rows are all kept joins
+    the trace as it is; otherwise its kept rows are copied out, so that the
+    trace holds no unused rows. `before` is the stop quantity of the step
+    before start, None at the first step of the run. Returns the stop
+    quantity of the last step."""
+    steps.iteration[:count] = np.arange(start, start + count)
+    rows = steps.take(slice(count))
+    now = rows.allocation if trace.mode is Mode.EXCHANGE else rows.prices
+    diff = np.diff(now, axis=0, prepend=now[:1] if before is None else before[None])
+    steps.stop_delta[:count] = np.maximum.reduce(np.abs(diff, out=diff).reshape(count, -1), axis=1)
+    if before is None:
+        steps.stop_delta[0] = np.inf
+    if rows.budgets_B is not None:
+        trace.track_budget_drift(rows.budgets_B)
+    keep = rows.iteration % record_every == 0
+    keep[-1] |= done
+    if count == len(steps) and keep.all():
+        trace.blocks.append(rows)
+    elif keep.any():
+        trace.blocks.append(rows.take(keep))
+    return now[-1].copy()
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
@@ -158,39 +190,35 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
-    step = _pr_map(market)
     exchange = market.mode is Mode.EXCHANGE
-    watched = "allocation" if exchange else "prices"
-    tol, last = stop.price_tol, max(t, stop.max_iters - 1)
-    block = max(1, BLOCK_ENTRIES // bids.size)
-    settle_at = t + block - 1
-    trace = DynamicsTrace(mode=market.mode)
-    balances, kept, prevs = [], [], []  # not yet settled
-    prev, delta = None, float("inf")
+    if exchange:
+        _check_spending(market, B, e)
+    step = _pr_map(market)
+    tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
+    trace = DynamicsTrace(market.mode)
+    size = max(1, BLOCK_ENTRIES // bids.size)
+    prev, before, delta = None, None, float("inf")
     while True:
-        p, x, B_next, e_next, b_next = step(bids, B, t)
-        now = x if exchange else p
-        if tol and prev is not None:
-            delta = float(np.maximum.reduce(np.abs(now - prev), None))
-        done = delta < tol or t == last
-        if done or t % record_every == 0:
-            record = TraceRecord(t, p, bids, x, delta)
-            trace.records.append(record)
+        start, steps = t, TraceBlock.empty(market, min(size, end - t))
+        prices, stacked_bids, balances = steps.prices, steps.bids, steps.budgets_B
+        for k in range(len(steps)):
+            p, x, B_next, _, b_next = step(bids, B, t)
+            prices[k], stacked_bids[k] = p, bids
             if exchange:
-                record.budgets_B, record.spend_e = B, e
-            if not tol and prev is not None:
-                kept.append(record)
-                prevs.append(prev)
-        if exchange:
-            balances.append(B)
-        if done or t == settle_at:
-            _settle(trace, balances, kept, prevs, watched)
-            settle_at = t + block
-            if done:
-                break
-        prev = now
-        bids, B, e, t = b_next, B_next, e_next, t + 1
-    trace.n_steps = t + 1
+                balances[k] = B
+            bids, B, t = b_next, B_next, t + 1
+            if tol:
+                now = x if exchange else p
+                if prev is not None:
+                    delta = float(np.maximum.reduce(np.abs(now - prev), None))
+                if delta < tol:
+                    break
+                prev = now
+        done = delta < tol or t == end
+        before = _settle(trace, steps, start, t - start, before, record_every, done)
+        if done:
+            break
+    trace.n_steps = t
     trace.stop_reason = "price_tol" if delta < tol else "max_iters"
     return trace
 
@@ -212,7 +240,8 @@ def run_exchange(
     stop: StopRule,
     record_every: int = 1,
 ) -> DynamicsTrace:
-    """Run lazy PR from init; the stop quantity is the allocation."""
+    """Run lazy PR from init; the stop quantity is the allocation. init's
+    spend_e must be laziness * budgets_B bit for bit."""
     return _run(
         market, init.bids, init.budgets_B, init.spend_e, init.iteration, stop, record_every
     )

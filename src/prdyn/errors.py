@@ -67,6 +67,10 @@ class UnderflowDetected(PrdynError):
     pass
 
 
+class InconsistentSpending(PrdynError):
+    """An exchange state whose spending e is not laziness * B bit for bit."""
+
+
 # --- diagnostics ---
 
 class LengthMismatch(PrdynError):

@@ -3,11 +3,16 @@
 Goods always have unit supply. Fisher markets carry fixed money budgets;
 exchange markets carry good endowments (a partition of the goods among the
 agents) plus a per-agent laziness parameter alpha in (0, 1).
+
+A DynamicsTrace stores the PR state of the recorded iterations, the state a
+full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
+derived when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -22,11 +27,11 @@ from .errors import (
 )
 from .utilities import UtilitySpec, share_row
 
-# Floats of one n x m record field stacked at once, by the diagnostics and by
-# the run driver's bookkeeping. A block holds as many records or steps as fit
-# in BLOCK_ENTRIES (at least one), so each stacked array stays near 256 KB
-# whatever the trace length or market size. A fixed record count
-# does not bound memory: blocks of 1024 records raised the peak memory of
+# Bids in one block of a trace, and in one block of steps that the run driver
+# settles at once. A block holds as many rows or steps as fit in
+# BLOCK_ENTRIES (at least one), so each stacked array stays near 256 KB
+# whatever the trace length or market size. A fixed row count does not
+# bound memory: blocks of 1024 records raised the peak memory of
 # `prdyn run --diagnostics` and `verify` on 60x60 Fisher markets by 16 %.
 BLOCK_ENTRIES = 1 << 15
 
@@ -157,34 +162,121 @@ class ExchangeState:
         object.__setattr__(self, "bids", np.asarray(self.bids, dtype=float))
 
 
-@dataclass
-class TraceRecord:
-    """State of one recorded iteration."""
+_STACKED = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
 
-    iteration: int
+
+@dataclass(frozen=True)
+class TraceBlock:
+    """Recorded rows of the PR state, stacked along a leading time axis:
+    iteration (k,), prices (k, m), bids (k, n, m), stop_delta (k,) and, in
+    exchange mode, budgets_B (k, n). stop_delta is the infinity-norm change of
+    the stop quantity (the prices in a Fisher market, the allocation in an
+    exchange market) from the step before, inf at the first step of a run.
+    ``row(k)`` gives one row, the same fields without the time axis."""
+
+    iteration: np.ndarray
     prices: np.ndarray
     bids: np.ndarray
-    allocation: np.ndarray
-    max_price_delta: float
-    potential_value: float = float("nan")
-    budgets_B: Optional[np.ndarray] = None
-    spend_e: Optional[np.ndarray] = None
+    stop_delta: np.ndarray
+    budgets_B: Optional[np.ndarray]
+    laziness: Optional[np.ndarray]
+
+    @classmethod
+    def empty(cls, market: MarketSpec, rows: int) -> "TraceBlock":
+        """Uninitialized rows, for the run driver to fill."""
+        n, m = market.n_buyers, market.n_goods
+        B = np.empty((rows, n)) if market.mode is Mode.EXCHANGE else None
+        return cls(np.empty(rows), np.empty((rows, m)), np.empty((rows, n, m)), np.empty(rows),
+                   B, market.laziness)
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def take(self, rows) -> "TraceBlock":
+        """The rows `rows` as read-only arrays: views for a slice, a copy for a mask."""
+        taken = {name: getattr(self, name)[rows] for name in _STACKED
+                 if getattr(self, name) is not None}
+        for a in taken.values():
+            a.flags.writeable = False
+        return replace(self, **taken)
+
+    def row(self, k: int) -> "TraceBlock":
+        B = self.budgets_B
+        return TraceBlock(int(self.iteration[k]), self.prices[k], self.bids[k],
+                          float(self.stop_delta[k]), None if B is None else B[k], self.laziness)
+
+    @property
+    def allocation(self) -> np.ndarray:
+        """x = b / p, bit for bit as the PR map computes it."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0: its bids fail diagnostics
+            return self.bids / self.prices[..., None, :]
+
+    @property
+    def spend_e(self) -> Optional[np.ndarray]:
+        """e = laziness * B, bit for bit as the PR map computes it."""
+        return None if self.budgets_B is None else self.laziness * self.budgets_B
+
+
+class _Rows(Sequence):
+    """The rows of a list of blocks as one read-only sequence."""
+
+    def __init__(self, blocks: List[TraceBlock]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+    def __getitem__(self, k: int) -> TraceBlock:
+        k = range(len(self))[k]  # IndexError when out of range
+        for block in self.blocks:
+            if k < len(block):
+                return block.row(k)
+            k -= len(block)
+
+    def __iter__(self):
+        for block in self.blocks:
+            for k in range(len(block)):
+                yield block.row(k)
 
 
 @dataclass
 class DynamicsTrace:
-    """Ordered per-iteration records plus run-level bookkeeping.
+    """The PR state of the recorded iterations, in TraceBlocks of at most
+    BLOCK_ENTRIES bids, plus run-level bookkeeping. Once a run driver or
+    ``stacked`` has returned it, nothing changes it.
 
     ``budget_drift`` is the worst deviation of sum_i B_i from 1 seen at any
-    iteration of an exchange run (0.0 for Fisher runs); a trace read back
-    from a full dump rebuilds it from the recorded B_i.
+    iteration of an exchange run (0.0 for Fisher runs); a trace built by
+    ``stacked`` takes it from the given B_i.
     """
 
     mode: Mode
-    records: List[TraceRecord] = field(default_factory=list)
+    blocks: List[TraceBlock] = field(default_factory=list)
     stop_reason: str = ""
     n_steps: int = 0
     budget_drift: float = 0.0
+
+    @classmethod
+    def stacked(cls, market: MarketSpec, iteration, prices, bids, stop_delta,
+                budgets_B=None) -> "DynamicsTrace":
+        """The one constructor of a trace from whole stacked arrays, such as a
+        full dump read back: the fields of a TraceBlock of every row. The
+        blocks are read-only views of these arrays. n_steps is the last
+        iteration + 1."""
+        whole = TraceBlock(*(None if a is None else np.asarray(a, dtype=float)
+                             for a in (iteration, prices, bids, stop_delta, budgets_B)),
+                           market.laziness)
+        size = max(1, BLOCK_ENTRIES // (market.n_buyers * market.n_goods))
+        blocks = [whole.take(slice(k, k + size)) for k in range(0, len(whole), size)]
+        trace = cls(market.mode, blocks, n_steps=int(whole.iteration[-1]) + 1)
+        if budgets_B is not None:
+            trace.track_budget_drift(whole.budgets_B)
+        return trace
+
+    @property
+    def records(self) -> Sequence[TraceBlock]:
+        """Every recorded row, oldest first, as views of the stored blocks."""
+        return _Rows(self.blocks)
 
     def track_budget_drift(self, budgets_B: np.ndarray):
         """Widen budget_drift to cover one vector of bank balances, or a
@@ -192,9 +284,11 @@ class DynamicsTrace:
         deviation = np.abs(np.add.reduce(budgets_B, axis=-1) - 1.0)
         self.budget_drift = float(np.maximum.reduce(deviation, None, initial=self.budget_drift))
 
-    def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.records])
-
     def is_consecutive(self) -> bool:
-        its = self.iterations()
-        return its.size > 0 and its[0] == 0 and bool(np.all(np.diff(its) == 1))
+        """Whether the rows are the iterations 0, 1, 2, ... with none missing."""
+        start = 0
+        for block in self.blocks:
+            if not np.array_equal(block.iteration, np.arange(start, start + len(block))):
+                return False
+            start += len(block)
+        return start > 0

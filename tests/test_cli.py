@@ -15,7 +15,7 @@ from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
 )
 from prdyn.errors import ParseError, PrdynError, UtilityParamInvalid
-from prdyn.market import DynamicsTrace, TraceRecord
+from prdyn.market import DynamicsTrace
 from test_equilibrium import near_linear_fisher_market
 
 
@@ -216,6 +216,28 @@ class TestSolve:
         assert doc["converged"] is False
         assert all(np.isfinite(doc["p_star"])) and min(doc["p_star"]) > 0
 
+    def test_non_finite_residual_is_null_and_exits_one(self, tmp_path):
+        # CES rho = 0.995 everywhere: the oracle converges, but its
+        # optimality gap overflows, and the dynamics underflows a bid.
+        mfile = tmp_path / "m.json"
+        main(["gen", "10", "10", "ces", "--seed", "3", "--out", str(mfile)])
+        doc = json.loads(mfile.read_text())
+        for buyer in doc["buyers"]:
+            buyer["utility"]["rho"] = 0.995
+        write_json(mfile, doc)
+        assert main(["solve", "--market", str(mfile), "--out", str(tmp_path / "sol")]) == 1
+        assert main(["run", "--market", str(mfile), "--out", str(tmp_path / "run")]) == 2
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        artifacts = sorted(tmp_path.rglob("*.json"))
+        assert tmp_path / "sol" / "equilibrium.json" in artifacts
+        for path in artifacts:
+            json.loads(path.read_text(), parse_constant=refuse)
+        residuals = json.loads((tmp_path / "sol" / "equilibrium.json").read_text())["residuals"]
+        assert residuals["optimality_gap"] is None
+
 
 class TestRun:
     def test_cobb_douglas_with_diagnostics(self, tmp_path):
@@ -336,9 +358,10 @@ def _set_cell(row: int, col: int, value: str):
     return tamper
 
 
-def _csv_writer_trace(trace, market, path, full_dump: bool, legacy: bool = False):
+def _csv_writer_trace(trace, market, path, full_dump: bool, potential=None, legacy: bool = False):
     """The trace CSV as csv.writer writes it, one repr(float(v)) per cell:
-    the reference that write_trace must match byte for byte. With legacy,
+    the reference that write_trace must match byte for byte. The potential
+    column holds the series potential, or nan when it is None. With legacy,
     a full dump also holds the derived allocations x_i_j after the bids and,
     in exchange mode, the spending e_i after the bank balances, as full dumps
     did before those columns were dropped; read_trace still accepts them."""
@@ -356,8 +379,10 @@ def _csv_writer_trace(trace, market, path, full_dump: bool, legacy: bool = False
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in trace.records:
-            values = [*r.prices, r.potential_value, r.max_price_delta]
+        if potential is None:
+            potential = [float("nan")] * len(trace.records)
+        for r, value in zip(trace.records, potential):
+            values = [*r.prices, value, r.stop_delta]
             if full_dump:
                 values += [*r.bids.ravel()]
             if full_dump and legacy:
@@ -380,38 +405,18 @@ class TestTraceCsv:
         def values(shape, k):
             return np.resize(np.roll(pool, -k), shape)
 
-        trace = DynamicsTrace(mode=mode)
-        for t in range(4):
-            # an exchange full dump stores B only, so e must be alpha * B
-            B = values(2, t + 3) if mode is Mode.EXCHANGE else None
-            trace.records.append(TraceRecord(
-                iteration=t, prices=values(3, t), bids=values((2, 3), t + 1),
-                allocation=values((2, 3), t + 2),
-                max_price_delta=float("inf") if t == 0 else float(pool[t + 6]),
-                potential_value=float("nan") if t < 2 else float(pool[t]),
-                budgets_B=B, spend_e=None if B is None else market.laziness * B,
-            ))
-        write_trace(trace, market, tmp_path / "trace.csv", full_dump=full_dump)
-        _csv_writer_trace(trace, market, tmp_path / "reference.csv", full_dump)
+        T = range(4)
+        trace = DynamicsTrace.stacked(
+            market, T, [values(3, t) for t in T], [values((2, 3), t + 1) for t in T],
+            [float("inf") if t == 0 else float(pool[t + 6]) for t in T],
+            [values(2, t + 3) for t in T] if mode is Mode.EXCHANGE else None,
+        )
+        potential = [float("nan") if t < 2 else float(pool[t]) for t in T]
+        write_trace(trace, market, tmp_path / "trace.csv", full_dump, potential)
+        _csv_writer_trace(trace, market, tmp_path / "reference.csv", full_dump, potential)
         written = (tmp_path / "trace.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b"5e-324" in written and b"1e+16" in written and b"nan" in written
-
-    def test_spending_not_alpha_times_balance_is_refused(self, tmp_path):
-        # Only a library run from a hand-built state can record such an e; a
-        # full dump, which stores B alone, could not replay it.
-        market = generate_market(2, 3, "ces", seed=1, mode=Mode.EXCHANGE)
-        B = np.array([0.25, 0.75])
-        trace = DynamicsTrace(mode=Mode.EXCHANGE)
-        for t, e in enumerate([market.laziness * B, np.nextafter(market.laziness * B, 1.0)]):
-            trace.records.append(TraceRecord(
-                iteration=t, prices=np.ones(3), bids=np.ones((2, 3)), allocation=np.ones((2, 3)),
-                max_price_delta=0.0, budgets_B=B, spend_e=e,
-            ))
-        with pytest.raises(PrdynError, match="iteration 1: spend_e"):
-            write_trace(trace, market, tmp_path / "trace.csv", full_dump=True)
-        assert not (tmp_path / "trace.csv").exists()
-        write_trace(trace, market, tmp_path / "trace.csv", full_dump=False)
 
 
 class TestVerify:
@@ -479,8 +484,8 @@ class TestVerify:
         ]) == 0
         market = load_market(mfile)
         ref = run(market)
-        _diagnostics_doc(market, ref)  # fills each record's potential, as run does
-        _csv_writer_trace(ref, market, legacy_csv, full_dump=True, legacy=True)
+        _, potential = _diagnostics_doc(market, ref)
+        _csv_writer_trace(ref, market, legacy_csv, True, potential, legacy=True)
         assert main([
             "verify", "--market", str(mfile), "--trace", str(legacy_csv),
             "--out", str(tmp_path / "v"),
@@ -602,16 +607,19 @@ class TestVerify:
             ]) == 0
             market = load_market(mfile)
             ref = run(market)
-            _diagnostics_doc(market, ref)  # fills each record's potential, as run does
+            _, potential = _diagnostics_doc(market, ref)
             trace = read_trace(out / "trace.csv", market)
+            column = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1,
+                                usecols=market.n_goods + 1)
+            assert _bits(column) == _bits(potential)
             assert trace.is_consecutive()
             assert trace.n_steps == ref.n_steps
             assert _bits(trace.budget_drift) == _bits(ref.budget_drift)
             assert len(trace.records) == len(ref.records)
             for got, want in zip(trace.records, ref.records):
                 assert got.iteration == want.iteration
-                for name in ("prices", "potential_value", "max_price_delta", "bids",
-                             "allocation", "budgets_B", "spend_e"):
+                for name in ("prices", "stop_delta", "bids", "allocation", "budgets_B",
+                             "spend_e"):
                     assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
     def test_missing_bid_columns_rejected(self, tmp_path):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from prdyn import (
     solve_fisher_eq,
     transform_exchange_equilibrium,
 )
-from prdyn.diagnostics import BLOCK_ENTRIES
+from prdyn.market import BLOCK_ENTRIES
 from prdyn.errors import (
     BoundaryBundle,
     InfeasibleAllocation,
@@ -249,6 +247,23 @@ class TestDiagnoseFisher:
             diagnose_fisher(trace, market, eq)
 
 
+def _spoiled(market, trace, t, spoil):
+    """A trace built through the one constructor from copies of trace's
+    stacked arrays, after spoil(arrays, t) damaged their row t."""
+    names = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
+    arrays = {
+        name: None if getattr(trace.blocks[0], name) is None
+        else np.concatenate([getattr(block, name) for block in trace.blocks])
+        for name in names
+    }
+    spoil(arrays, t)
+    return DynamicsTrace.stacked(market, **arrays)
+
+
+def _nan_bid(arrays, t):
+    arrays["bids"][t, 0, 0] = np.nan
+
+
 class TestNonFiniteTrace:
     """A non-finite entry in a replayed trace is an error, not a pass."""
 
@@ -256,7 +271,7 @@ class TestNonFiniteTrace:
         market = random_fisher_market("ces", 3, 4, rng)
         eq = solve_fisher_eq(market, tol=1e-12)
         trace = run_fisher(market, default_initial_bids(market), StopRule(300, 0.0))
-        trace.records[150].bids[0, 0] = np.nan
+        trace = _spoiled(market, trace, 150, _nan_bid)
         with pytest.raises(NonPositiveEntry):
             diagnose_fisher(trace, market, eq)
 
@@ -264,7 +279,7 @@ class TestNonFiniteTrace:
         market = random_exchange_market("ces", 3, 4, rng)
         transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
         trace = run_exchange(market, default_initial_exchange(market), StopRule(300, 0.0))
-        trace.records[150].bids[0, 0] = np.nan
+        trace = _spoiled(market, trace, 150, _nan_bid)
         with pytest.raises(NonPositiveEntry):
             check_exchange_potential_decrease(trace, transformed, market.laziness)
 
@@ -379,33 +394,21 @@ class TestBlockSeams:
         assert report.lemma_gap_min == pytest.approx(min(gaps), rel=1e-12)
         assert report.passed
 
-    @staticmethod
-    def _spoiled(trace, t, spoil):
-        """A copy of trace whose record t went through spoil."""
-        copy = DynamicsTrace(mode=trace.mode, records=list(trace.records))
-        copy.records[t] = spoil(dataclasses.replace(trace.records[t]))
-        return copy
-
     def test_bad_record_in_second_block(self, fisher_run, exchange_run):
         market, eq, trace = fisher_run
         t = _block_records(market) + 100
 
-        def skip(r):
-            r.iteration += 1
-            return r
+        def skip(a, t):
+            a["iteration"][t] += 1
 
-        def inflate(r):
-            r.allocation = 1.5 * r.allocation
-            return r
+        def inflate(a, t):  # x = b / p grows by 1.5
+            a["prices"][t] /= 1.5
 
-        def to_boundary(r):
-            x = r.allocation.copy()
-            x[1, 0] += x[0, 0]
-            x[0, 0] = 0.0
-            r.allocation = x
-            return r
+        def to_boundary(a, t):  # x[0, 0] = 0, with the column still feasible
+            a["bids"][t, 1, 0] += a["bids"][t, 0, 0]
+            a["bids"][t, 0, 0] = 0.0
 
-        gap = self._spoiled(trace, t, skip)
+        gap = _spoiled(market, trace, t, skip)
         with pytest.raises(NonConsecutiveTrace):
             check_potential_decrease(gap, eq)
         with pytest.raises(NonConsecutiveTrace):
@@ -413,11 +416,14 @@ class TestBlockSeams:
         with pytest.raises(NonConsecutiveTrace):
             diagnose_fisher(gap, market, eq)
         with pytest.raises(InfeasibleAllocation):
-            diagnose_fisher(self._spoiled(trace, t, inflate), market, eq)
+            diagnose_fisher(_spoiled(market, trace, t, inflate), market, eq)
+        boundary = _spoiled(market, trace, t, to_boundary)
         with pytest.raises(BoundaryBundle):
-            diagnose_fisher(self._spoiled(trace, t, to_boundary), market, eq)
+            lemma_33_check(market, eq, boundary.records[t].allocation)
+        with pytest.raises(NonPositiveEntry):  # the zero bid fails the potential first
+            diagnose_fisher(boundary, market, eq)
 
         x_market, transformed, x_trace = exchange_run
-        x_gap = self._spoiled(x_trace, t, skip)
+        x_gap = _spoiled(x_market, x_trace, t, skip)
         with pytest.raises(NonConsecutiveTrace):
             check_exchange_potential_decrease(x_gap, transformed, x_market.laziness)

@@ -1,21 +1,23 @@
 """The run driver against a per-step reference loop over pr_step / lazy_step.
 
-The driver settles budget drift and, when the stop rule does not read it,
-max_price_delta block-wise; the reference evaluates both at every step, the
-way the driver did before. Every record field, the drift, n_steps and the
-stop reason must match bit for bit.
+The driver settles budget drift and the stop delta block-wise; the reference
+evaluates both at every step, the way the driver did before. Every record
+field, the drift, n_steps and the stop reason must match bit for bit.
 """
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prdyn import (
     DynamicsTrace,
+    ExchangeState,
     FisherState,
     MarketSpec,
     Mode,
     StopRule,
-    TraceRecord,
     default_initial_bids,
     default_initial_exchange,
     lazy_step,
@@ -25,7 +27,7 @@ from prdyn import (
     validate_market,
 )
 from prdyn.dynamics import BID_FLOOR
-from prdyn.errors import UnderflowDetected
+from prdyn.errors import InconsistentSpending, NonPositiveBid, UnderflowDetected
 from prdyn.market import BLOCK_ENTRIES
 from conftest import FAMILIES, random_fisher_market
 from test_exchange import random_exchange_market
@@ -56,8 +58,9 @@ def reference_run(market, max_iters, price_tol):
         next_state, p, x = step(market, state)
         now = x if exchange else p
         delta = float("inf") if prev is None else float(np.max(np.abs(now - prev)))
-        record = TraceRecord(
-            iteration=t, prices=p, bids=state.bids, allocation=x, max_price_delta=delta
+        record = SimpleNamespace(
+            iteration=t, prices=p, bids=state.bids, allocation=x, stop_delta=delta,
+            budgets_B=None, spend_e=None,
         )
         if exchange:
             record.budgets_B, record.spend_e = state.budgets_B, state.spend_e
@@ -70,12 +73,11 @@ def reference_run(market, max_iters, price_tol):
         prev, state = now, next_state
 
 
-def bits(record: TraceRecord):
+def bits(record):
     arrays = (record.prices, record.bids, record.allocation, record.budgets_B, record.spend_e)
     return (
         record.iteration,
-        repr(record.max_price_delta),
-        repr(record.potential_value),
+        repr(record.stop_delta),
         *(None if a is None else (a.shape, a.tobytes()) for a in arrays),
     )
 
@@ -172,3 +174,40 @@ def test_budget_drift_propagates_nan():
     assert np.isnan(trace.budget_drift)
     trace.track_budget_drift(np.array([[0.5, 0.5], [0.25, 0.75]]))
     assert np.isnan(trace.budget_drift)
+
+
+def test_spending_not_alpha_times_balance_is_refused():
+    # A trace stores B alone and derives e = laziness * B, so an initial
+    # state whose e differs from that in the last bit could not be recorded.
+    market = random_exchange_market("ces", 2, 3, np.random.default_rng(1))
+    init = default_initial_exchange(market)
+    e = init.spend_e.copy()
+    e[1] = np.nextafter(e[1], 1.0)
+    bad = ExchangeState(budgets_B=init.budgets_B, spend_e=e, bids=init.bids)
+    with pytest.raises(InconsistentSpending, match="agent 1: spend_e"):
+        run_exchange(market, bad, StopRule(10))
+    zero_bid = init.bids.copy()
+    zero_bid[0, 0] = 0.0
+    with pytest.raises(NonPositiveBid):  # the bids are checked first
+        run_exchange(market, ExchangeState(init.budgets_B, e, zero_bid), StopRule(10))
+    assert run_exchange(market, init, StopRule(10)).n_steps == 10
+
+
+def test_trace_memory_is_its_stacked_payload():
+    """A trace keeps its PR state in stacked blocks: what a run leaves
+    allocated is within 1.25 x the bytes of iterations, p, b, B and the
+    stop delta, for 2 000 steps of an 8 x 12 exchange market."""
+    market = random_exchange_market("ces", 8, 12, np.random.default_rng(501))
+    init = default_initial_exchange(market)
+    market.share_rows, market.ownership  # cached on the market before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_exchange(market, init, StopRule(2000, 0.0), record_every=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n, m, T = market.n_buyers, market.n_goods, len(trace.records)
+    assert T == 2000
+    payload = 8 * T * (1 + m + n * m + n + 1)
+    assert retained <= 1.25 * payload, retained / payload

@@ -4,11 +4,11 @@ The oracle deliberately shares no machinery with the proportional-response
 iteration: it solves z(p) = 1 (z = aggregate demand at unit supply) by
 guarded Newton steps in log p, which only need the demand kernel and its
 Jacobian in log p (demand.demand_jacobian); each demand call solves every
-buyer's budget multiplier at once by Newton in log lam. Cobb-Douglas Fisher
-markets use the closed form instead. The iteration stops with
-converged=False when a step would leave the prices or the demand non-finite
-or zero, or when its line search stalls. From the share rows it takes only
-the Cobb-Douglas weights and the KKT residual.
+buyer's budget multiplier at once by Newton in log lam. The iteration stops
+with converged=False when a step would leave the prices or the demand
+non-finite or zero, or when its line search stalls; a result is converged
+only when its residuals are finite, too. It reads the PR map's share rows
+only in the KKT residual.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ def _finish(
         # be the market price; a bundle on the boundary has none.
         Q = e[:, None] * shares(*market.share_rows, x) / x
         opt = _worst(np.abs(Q - p) / p)
+    finite = bool(np.isfinite([clearing, opt, budget_gap]).all())
     return EquilibriumResult(
         x_star=x,
         p_star=p,
@@ -72,7 +73,7 @@ def _finish(
         clearing=clearing,
         optimality_gap=opt,
         budget_gap=budget_gap,
-        converged=converged,
+        converged=converged and finite,
         iterations=iters,
     )
 
@@ -143,11 +144,6 @@ def solve_fisher_eq(
     market: MarketSpec, tol: float = 1e-10, max_iters: int = 20000
 ) -> EquilibriumResult:
     _require_mode(market, Mode.FISHER)
-    C, R = market.share_rows
-    if not R.any():  # all Cobb-Douglas: each buyer spends the fixed shares c
-        p = market.budgets @ C
-        x = _aggregate_demand(kkt_rows(market.utilities), market, p)
-        return _finish(market, p, x, converged=True, iters=0)
     return _newton(market, float(market.budgets.sum()), tol, max_iters)
 
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prdyn import Mode
+from prdyn import Mode, cli
 from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
 )
-from prdyn.errors import ParseError, PrdynError, UtilityParamInvalid
+from prdyn.errors import ParseError, PrdynError, UnderflowDetected, UtilityParamInvalid
 from prdyn.market import DynamicsTrace
 from test_equilibrium import near_linear_fisher_market
 
@@ -217,8 +217,9 @@ class TestSolve:
         assert all(np.isfinite(doc["p_star"])) and min(doc["p_star"]) > 0
 
     def test_non_finite_residual_is_null_and_exits_one(self, tmp_path):
-        # CES rho = 0.995 everywhere: the oracle converges, but its
-        # optimality gap overflows, and the dynamics underflows a bid.
+        # CES rho = 0.995 everywhere: the oracle clears the market, but entries
+        # of x* underflow to 0, so its optimality gap is not finite and it does
+        # not report convergence; the dynamics underflows a bid.
         mfile = tmp_path / "m.json"
         main(["gen", "10", "10", "ces", "--seed", "3", "--out", str(mfile)])
         doc = json.loads(mfile.read_text())
@@ -235,8 +236,10 @@ class TestSolve:
         assert tmp_path / "sol" / "equilibrium.json" in artifacts
         for path in artifacts:
             json.loads(path.read_text(), parse_constant=refuse)
-        residuals = json.loads((tmp_path / "sol" / "equilibrium.json").read_text())["residuals"]
-        assert residuals["optimality_gap"] is None
+        doc = json.loads((tmp_path / "sol" / "equilibrium.json").read_text())
+        assert doc["converged"] is False
+        assert doc["residuals"]["clearing"] <= 1e-10
+        assert doc["residuals"]["optimality_gap"] is None
 
 
 class TestRun:
@@ -340,15 +343,48 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
     def test_batch_runs_in_subdirs(self, tmp_path):
+        # Each seed's artifacts are byte-equal to a plain run on its market.
+        flags = ["--price-tol", "1e-10", "--diagnostics", "--full-dump"]
+        for mode in ("fisher", "exchange"):
+            mfile = tmp_path / f"{mode}.json"
+            main(["gen", "2", "3", "ces", "--mode", mode, "--seed", "0", "--out", str(mfile)])
+            out = tmp_path / f"batch-{mode}"
+            assert main([
+                "run", "--market", str(mfile), *flags,
+                "--batch", "3", "--seed", "10", "--out", str(out),
+            ]) == 0
+            for seed in (10, 11, 12):
+                sub = out / f"seed-{seed:04d}"
+                plain = tmp_path / f"plain-{mode}-{seed}"
+                assert main([
+                    "run", "--market", str(sub / "market.json"), *flags, "--out", str(plain),
+                ]) == 0
+                for name in ("trace.csv", "summary.json", "diagnostics.json"):
+                    assert (sub / name).read_bytes() == (plain / name).read_bytes(), (mode, name)
+
+    def test_batch_error_exits_two_after_every_seed(self, tmp_path, capsys, monkeypatch):
+        # Seeds 10 and 12 raise: seeds 11 and 13 still run, and the first
+        # error in seed order is the one reported.
+        run_one = cli._run_one
+
+        def flaky(market, args, out):
+            if out.name == "seed-0010":
+                raise UnderflowDetected("first")
+            if out.name == "seed-0012":
+                raise ParseError("second")
+            return run_one(market, args, out)
+
+        monkeypatch.setattr(cli, "_run_one", flaky)
         mfile = tmp_path / "m.json"
         main(["gen", "2", "3", "ces", "--seed", "0", "--out", str(mfile)])
         out = tmp_path / "batch"
-        assert main([
-            "run", "--market", str(mfile), "--price-tol", "1e-10",
-            "--batch", "3", "--seed", "10", "--out", str(out),
-        ]) == 0
-        for seed in (10, 11, 12):
-            assert (out / f"seed-{seed:04d}" / "summary.json").exists()
+        code = main(["run", "--market", str(mfile), "--batch", "4", "--seed", "10", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "UnderflowDetected", "message": "first"}
+        for seed in (10, 11, 12, 13):
+            sub = out / f"seed-{seed:04d}"
+            assert (sub / "market.json").exists()
+            assert (sub / "summary.json").exists() == (seed in (11, 13))
 
 
 def _set_cell(row: int, col: int, value: str):

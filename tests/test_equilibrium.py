@@ -29,6 +29,8 @@ from test_exchange import random_exchange_market, symmetric_market
 
 class TestSolveFisher:
     def test_cobb_douglas_closed_form(self):
+        # Each Cobb-Douglas buyer spends the fixed shares a of its budget, so
+        # p* = budgets @ A; the Newton oracle must reach it.
         market = cobb_douglas_2x2()
         eq = solve_fisher_eq(market)
         assert eq.converged
@@ -36,6 +38,13 @@ class TestSolveFisher:
         expected_x = np.array([[0.5 / 0.75, 0.5 / 1.25], [0.25 / 0.75, 0.75 / 1.25]])
         assert np.allclose(eq.x_star, expected_x, rtol=1e-13)
         assert np.allclose(eq.x_star.sum(axis=0), 1.0, rtol=1e-13)
+        rng = np.random.default_rng(31)
+        for n, m in [(1, 1), (1, 5), (3, 2), (6, 6), (12, 9), (40, 40)]:
+            market = random_fisher_market("cobb_douglas", n, m, rng)
+            eq = solve_fisher_eq(market)
+            assert eq.converged
+            A = np.array([u.weights for u in market.utilities])
+            assert np.allclose(eq.p_star, market.budgets @ A, rtol=1e-13, atol=0.0)
 
     def test_single_buyer(self, rng):
         market = validate_market(

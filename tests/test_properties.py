@@ -1,7 +1,8 @@
 """Property-based tests of the bid-share kernel and one dynamics step on
 mixed-family markets, of the equilibrium oracle and of demand over all
-families, and of the potential diagnostics along whole runs. Derandomized,
-so every process draws the same instances."""
+families (gross substitutes and normal goods included), and of the
+potential diagnostics along whole runs. Derandomized, so every process draws
+the same instances."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from prdyn import (
     SeparablePower,
     StopRule,
     check_exchange_potential_decrease,
+    check_gs_property,
+    check_normal_goods,
     corresponding_price,
     default_initial_bids,
     default_initial_exchange,
@@ -140,10 +143,11 @@ def test_oracle_converges_and_verifies(drawn):
 
 
 @st.composite
-def demand_problems(draw):
-    """A utility of any family on m in 1..6 goods, prices p and a budget e."""
+def demand_problems(draw, lo=1e-2, hi=1e2):
+    """A utility of any family on m in 1..6 goods, prices p and a budget e in
+    lo..hi."""
     m = draw(st.integers(1, 6))
-    return draw(_utilities(m)), draw(_vectors(m, 1e-2, 1e2)), draw(st.floats(1e-2, 1e2))
+    return draw(_utilities(m)), draw(_vectors(m, lo, hi)), draw(st.floats(lo, hi))
 
 
 @PROPERTY
@@ -169,6 +173,27 @@ def test_demand_is_homogeneous_of_degree_zero(problem, c):
     u, p, e = problem
     x = demand(u, p, e).x
     assert np.allclose(demand(u, c * p, c * e).x, x, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(demand_problems(0.1, 10.0), st.data())
+def test_demand_is_gross_substitutes(problem, data):
+    # Raising some prices up to 10x never lowers the demand for a good whose
+    # price stayed, at the tolerance of acceptance criterion 8.
+    u, p, e = problem
+    factor = data.draw(_vectors(len(p), 1.0, 10.0))
+    raised = data.draw(arrays(np.bool_, len(p)))
+    report = check_gs_property(u, p, np.where(raised, p * factor, p), e, tol=1e-10)
+    assert report.passed, report.residuals
+
+
+@PROPERTY
+@given(demand_problems(0.1, 10.0), st.floats(1.0, 10.0))
+def test_demand_is_normal(problem, c):
+    # Raising the budget up to 10x never lowers the demand for any good.
+    u, p, e = problem
+    report = check_normal_goods(u, p, e, c * e, tol=1e-10)
+    assert report.passed, report.residuals
 
 
 @st.composite

@@ -5,13 +5,16 @@ evaluates both at every step, the way the driver did before. Every record
 field, the drift, n_steps and the stop reason must match bit for bit.
 """
 
+import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prdyn import (
+    CES,
     DynamicsTrace,
     ExchangeState,
     FisherState,
@@ -26,6 +29,7 @@ from prdyn import (
     run_fisher,
     validate_market,
 )
+from prdyn.cli import generate_market
 from prdyn.dynamics import BID_FLOOR
 from prdyn.errors import InconsistentSpending, NonPositiveBid, UnderflowDetected
 from prdyn.market import BLOCK_ENTRIES
@@ -164,6 +168,104 @@ def test_underflow_fires_at_the_reference_iteration(record_every):
             state, _, _ = pr_step(market, state)
     with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
         run_fisher(market, default_initial_bids(market), StopRule(20000, 0.0), record_every)
+
+
+def near_linear_market(mode: str):
+    """A CES market with every rho = 0.999, whose bids cross BID_FLOOR after
+    some 170 steps: 10 x 10 Fisher or 6 x 8 exchange, seed 3."""
+    if mode == "fisher":
+        market = generate_market(10, 10, "ces", seed=3)
+    else:
+        market = generate_market(6, 8, "ces", seed=3, mode=Mode.EXCHANGE)
+    return replace(market, utilities=tuple(CES(u.weights, 0.999) for u in market.utilities))
+
+
+def stepper(market):
+    """(initial state, step function, run) of market's mode."""
+    if market.mode is Mode.EXCHANGE:
+        state = default_initial_exchange(market)
+        return state, lazy_step, lambda stop, every=1: run_exchange(market, state, stop, every)
+    state = FisherState(bids=default_initial_bids(market))
+    return state, pr_step, lambda stop, every=1: run_fisher(market, state.bids, stop, every)
+
+
+def step_loop_underflow(market) -> int:
+    """The iteration at which a pr_step / lazy_step loop raises UnderflowDetected."""
+    state, step, _ = stepper(market)
+    with pytest.raises(UnderflowDetected) as raised:
+        for _ in range(20000):
+            state, _, _ = step(market, state)
+    return int(re.search(r"at iteration (\d+);", str(raised.value))[1])
+
+
+@pytest.fixture(scope="module")
+def crossings():
+    """mode -> (near-linear market, the iteration its step loop raises at)."""
+    markets = {mode: near_linear_market(mode) for mode in ("fisher", "exchange")}
+    return {mode: (market, step_loop_underflow(market)) for mode, market in markets.items()}
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 20000])
+def test_exchange_underflow_fires_at_the_step_loop_iteration(crossings, record_every):
+    # the steps the driver takes past the crossing, before its block ends, run
+    # on bids below the floor; under the suite's error::RuntimeWarning filter
+    # a warning from them would fail the run before the floor check
+    market, iteration = crossings["exchange"]
+    assert iteration > 1
+    _, _, run = stepper(market)
+    with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
+        run(StopRule(20000, 0.0), record_every)
+
+
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_floor_is_checked_through_the_last_step(crossings, mode):
+    market, iteration = crossings[mode]
+    _, _, run = stepper(market)
+    # the last step produces the bids below the floor
+    with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
+        run(StopRule(iteration, 0.0))
+    trace = run(StopRule(iteration - 1, 0.0))
+    assert (trace.n_steps, trace.stop_reason) == (iteration - 1, "max_iters")
+
+
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_floor_crossing_on_any_row_of_a_block(crossings, monkeypatch, mode):
+    market, iteration = crossings[mode]
+    _, _, run = stepper(market)
+    # blocks of `rows` steps: the crossing step iteration - 1 is the last row
+    # of a block for rows = 1 and rows = iteration, the first for
+    # iteration - 1 and the next to last for iteration + 1
+    for rows in (1, iteration - 1, iteration, iteration + 1):
+        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
+            run(StopRule(20000, 0.0))
+
+
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_steps_leave_inputs_and_earlier_outputs_alone(mode):
+    """The map writes into the arrays pr_step and lazy_step allocate: read-only
+    inputs are accepted and left as they were, and a later call does not
+    write into what an earlier one returned."""
+    market = mixed_market(mode)
+    state, step, _ = stepper(market)
+    fields = ("bids", "budgets_B", "spend_e")
+
+    def arrays(result):
+        next_state, p, x = result
+        return [p, x] + [getattr(next_state, f) for f in fields if hasattr(next_state, f)]
+
+    inputs = [getattr(state, f) for f in fields if hasattr(state, f)]
+    for a in inputs:
+        a.flags.writeable = False
+    before = [a.tobytes() for a in inputs]
+    first = step(market, state)
+    first_bits = [a.tobytes() for a in arrays(first)]
+    second = step(market, state)
+    third = step(market, first[0])
+    assert [a.tobytes() for a in inputs] == before
+    assert [a.tobytes() for a in arrays(first)] == first_bits
+    assert [a.tobytes() for a in arrays(second)] == first_bits
+    assert [a.tobytes() for a in arrays(third)] != first_bits
 
 
 def test_budget_drift_propagates_nan():

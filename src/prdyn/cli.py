@@ -9,6 +9,7 @@ rendering, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -538,5 +539,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """Entry point of the `prdyn` script and of `python -m prdyn.cli`. It
+    moves the objects that the interpreter and the imports left, about
+    22 000, out of the garbage collector's reach with gc.freeze() before
+    calling main(), so that no collection, those at interpreter exit
+    included, walks them again; that walk cost tens of milliseconds a
+    process. main() itself leaves the collector alone, for in-process
+    callers."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -9,18 +9,20 @@ Fisher market is the special case alpha = 1 with income equal to the fixed
 budget, so B' = e' = budgets exactly.
 
 ``_pr_map`` resolves a market's constants (the share rows, alpha, 1 - alpha,
-the ownership matrix or the budgets) once, and ``pr_step``, ``lazy_step`` and
-the run driver ``_run`` all step through the map it returns. The map writes
-into arrays its caller owns, with ``out=`` ufuncs, and allocates nothing.
-Each iteration of the driver runs only the map, reading the state from one
-row of a preallocated block of at most ``BLOCK_ENTRIES`` bids and writing
-its prices into that row and the next state into the row after it (the
-first row of the following block, after a block's last row), and,
-when the stop rule has a positive price_tol, the stop test. The rest is
-settled once per block from the stacked state: the BID_FLOOR check of the
-next bids, the stop delta of every step, the budget drift over the bank
-balances of every step, recorded or not, and which rows the trace keeps.
-Every value is bit-identical to evaluating it step by step.
+the ownership matrix or the budgets) once and returns the one block
+stepper: a loop that takes the PR map, and when the stop rule has a
+positive price_tol the stop test, once per row of the sequences it is
+given, writing with ``out=`` ufuncs into arrays its caller owns, and
+allocating nothing. ``pr_step`` and ``lazy_step`` call it on one row. The
+run driver ``_run`` calls it once per preallocated block of at most
+``BLOCK_ENTRIES`` bids: each step reads the state from one row of the
+block and writes its prices into that row and the next state into the row
+after it (the first row of the following block, after a block's last
+row). The rest is settled once per block from the stacked state: the
+BID_FLOOR check of the next bids, the stop delta of every step, the budget
+drift over the bank balances of every step, recorded or not, and which
+rows the trace keeps. Every value is bit-identical to evaluating it step
+by step.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     InconsistentSpending,
     InvalidRunControl,
     NonPositiveBid,
+    NonPositiveBudget,
     ShapeMismatch,
     UnderflowDetected,
 )
@@ -72,16 +75,28 @@ def _check_bids(market: MarketSpec, bids: np.ndarray):
 
 
 def _pr_map(market: MarketSpec):
-    """The one PR map of market: step(b, B, p, x, B_next, b_next) writes the
-    prices p = sum_i b and the allocation x = b / p of the state (b, B), and
-    the next state B_next and b_next, into the arrays the caller passes. B and
-    B_next are unused in a Fisher market, where they may be None. The outputs
-    must not overlap the inputs. The map allocates nothing: its share,
-    income and spending scratch belongs to it. It does not check the floor;
-    see _check_floor."""
+    """The one PR map of market, as a block stepper:
+    steps(bs, Bs, ps, xs, Bns, bns, tol, prev) -> (count, delta) takes one
+    step per zipped row of its six sequences, in order, until the shortest
+    runs out. From the state (b, B) of a row it writes the prices
+    p = sum_i b, the allocation x = b / p and the next state B_next and
+    b_next into the arrays of that row; a row's b_next may be the next row's
+    b, but no output may overlap an input of its own row. In a Fisher
+    market the map reads no B and writes no B_next, and those entries may
+    be None.
+
+    With tol > 0 each step also takes the stop test: delta is the
+    infinity-norm change of the stop quantity (x in an exchange market, p
+    in a Fisher market) from prev, that of the step before, which is None
+    before a run's first step; the stepper stops after the first step whose
+    delta is below tol. Returns the number of steps taken and the last
+    delta, inf when it computed none. The stepper allocates nothing: its
+    share, income, spending and stop-test scratch belongs to it. It does not
+    check the floor; see _check_floor. Its reductions run over axis -2 (the
+    price sum) and -1 (the share normaliser): the same sums on an (n, m)
+    state, and the right axes for a stack of them."""
     C, R = market.share_rows
     n, m = C.shape
-    add, divide, multiply, power, matmul = np.add, np.divide, np.multiply, np.power, np.matmul
     t, s = np.empty((n, m)), np.empty((n, 1))
     exchange = market.mode is Mode.EXCHANGE
     if not exchange:
@@ -90,22 +105,37 @@ def _pr_map(market: MarketSpec):
         alpha, owner, keep = market.laziness, market.ownership, 1.0 - market.laziness
         inc, e = np.empty(n), np.empty(n)
     e_col = e[:, None]
+    diff = np.empty((n, m) if exchange else m)
 
-    def step(b, B, p, x, B_next, b_next):
-        add.reduce(b, 0, out=p)
-        divide(b, p, out=x)
-        if exchange:  # the income is the revenue of the owned goods
-            multiply(keep, B, out=B_next)
-            matmul(owner, p, out=inc)
-            add(B_next, inc, out=B_next)
-            multiply(alpha, B_next, out=e)
-        power(x, R, out=t)
-        multiply(C, t, out=t)
-        add.reduce(t, -1, keepdims=True, out=s)
-        divide(t, s, out=t)
-        multiply(e_col, t, out=b_next)
+    def steps(bs, Bs, ps, xs, Bns, bns, tol, prev):
+        add, divide, multiply, power, matmul = np.add, np.divide, np.multiply, np.power, np.matmul
+        total, subtract, absolute, largest = add.reduce, np.subtract, np.absolute, np.maximum.reduce
+        count, delta = 0, float("inf")
+        for b, B, p, x, B_next, b_next in zip(bs, Bs, ps, xs, Bns, bns):
+            count += 1
+            total(b, -2, None, p)
+            divide(b, p, x)
+            if exchange:  # the income is the revenue of the owned goods
+                multiply(keep, B, B_next)
+                matmul(owner, p, inc)
+                add(B_next, inc, B_next)
+                multiply(alpha, B_next, e)
+            power(x, R, t)
+            multiply(C, t, t)
+            total(t, -1, None, s, True)
+            divide(t, s, t)
+            multiply(e_col, t, b_next)
+            if tol:
+                now = x if exchange else p
+                if prev is not None:
+                    subtract(now, prev, diff)
+                    delta = float(largest(absolute(diff, diff), None))
+                    if delta < tol:
+                        break
+                prev = now
+        return count, delta
 
-    return step
+    return steps
 
 
 def _check_floor(next_bids: np.ndarray, t: int):
@@ -122,11 +152,13 @@ def _check_floor(next_bids: np.ndarray, t: int):
 
 def _one_step(market: MarketSpec, bids: np.ndarray, B, t: int):
     """Step t of the map from outside bids and, in an exchange market, bank
-    balances B, into fresh arrays; returns (p, x, B', b')."""
+    balances B, both entry-checked, into fresh arrays; returns (p, x, B', b')."""
     _check_bids(market, bids)
+    if B is not None:
+        _check_balances(market, B)
     p, x, b_next = np.empty(market.n_goods), np.empty_like(bids), np.empty_like(bids)
     B_next = None if B is None else np.empty(market.n_buyers)
-    _pr_map(market)(bids, B, p, x, B_next, b_next)
+    _pr_map(market)((bids,), (B,), (p,), (x,), (B_next,), (b_next,), 0.0, None)
     _check_floor(b_next[None], t)
     return p, x, B_next, b_next
 
@@ -139,7 +171,8 @@ def pr_step(market: MarketSpec, state: FisherState):
 
 
 def lazy_step(market: MarketSpec, state: ExchangeState):
-    """One lazy-PR iteration; returns (next_state, prices, allocation)."""
+    """One lazy-PR iteration; returns (next_state, prices, allocation). The
+    step reads state's bids and budgets_B, not its spend_e."""
     p, x, B_next, b_next = _one_step(market, state.bids, state.budgets_B, state.iteration)
     next_state = ExchangeState(
         budgets_B=B_next, spend_e=market.laziness * B_next, bids=b_next,
@@ -162,12 +195,23 @@ def default_initial_exchange(market: MarketSpec) -> ExchangeState:
     return ExchangeState(budgets_B=B0, spend_e=e0, bids=b0, iteration=0)
 
 
+def _check_balances(market: MarketSpec, B: np.ndarray):
+    """Entry check on outside bank balances: one finite, positive B_i per agent."""
+    if B.shape != (market.n_buyers,):
+        raise ShapeMismatch(f"budgets_B shape {B.shape}, market of {market.n_buyers} agents")
+    bad = np.flatnonzero(~(np.isfinite(B) & (B > 0)))
+    if bad.size:
+        i = bad[0]
+        raise NonPositiveBudget(f"agent {i}: budgets_B {float(B[i])!r} is not finite and positive")
+
+
 def _check_spending(market: MarketSpec, B: np.ndarray, e: np.ndarray):
-    """Entry check on an outside exchange state: a trace stores B alone and
-    derives e = laziness * B, so e must be that bit for bit."""
-    if B.shape != (market.n_buyers,) or e.shape != B.shape:
-        raise ShapeMismatch(f"budgets_B shape {B.shape}, spend_e shape {e.shape}, "
-                            f"market of {market.n_buyers} agents")
+    """Entry check on an outside exchange state: B must pass _check_balances,
+    and as a trace stores B alone and derives e = laziness * B, e must be
+    that bit for bit."""
+    _check_balances(market, B)
+    if e.shape != B.shape:
+        raise ShapeMismatch(f"spend_e shape {e.shape}, budgets_B shape {B.shape}")
     want = market.laziness * B
     bad = np.flatnonzero(want.view(np.uint64) != e.view(np.uint64))
     if bad.size:
@@ -217,61 +261,54 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     vector in a Fisher market and the allocation in an exchange market. Every
     record_every-th iteration is recorded, plus always the final one.
 
-    Step k of a block reads the state in row k of the block and writes its
-    prices there and the next state into row k + 1; the last step writes it
-    into row 0 of the following block, so no state is copied between blocks.
-    The allocations go to one scratch block reused for the whole run. The
-    steps run with numpy's floating-point warnings off, and the next bids of
-    a block's steps are checked against BID_FLOOR once the block is done:
-    the run raises at the same iteration as a step-by-step loop, and nothing
-    that follows the crossing is kept."""
+    Each block is one call of the stepper, on the block's rows as lists of
+    row views, built once per block. Step k of a block reads the state in
+    row k of the block and writes its prices there and the next state into
+    row k + 1; the last step writes it into row 0 of the following block, so
+    no state is copied between blocks. The allocations go to one scratch
+    block reused for the whole run, and the stop test, when price_tol > 0,
+    carries the stop quantity of a block's last step into the next block
+    as a copy. The steps run with numpy's floating-point warnings off, and
+    the next bids of a block's steps are checked against BID_FLOOR once the
+    block is done: the run raises at the same iteration as a step-by-step
+    loop, and nothing that follows the crossing is kept."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
     exchange = market.mode is Mode.EXCHANGE
     if exchange:
         _check_spending(market, B, e)
-    step = _pr_map(market)
+    step_rows = _pr_map(market)
     tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
     trace = DynamicsTrace(market.mode)
     size = max(1, BLOCK_ENTRIES // bids.size)
     steps = TraceBlock.empty(market, min(size, end - t))
     allocation = np.empty((len(steps), *bids.shape))
+    x_rows = list(allocation)  # the scratch serves every block
     steps.bids[0] = bids
     if exchange:
         steps.budgets_B[0] = B
-    prev, before, delta = None, None, float("inf")
+    prev, before = None, None
     with np.errstate(all="ignore"):
         while True:
-            start, last = t, len(steps) - 1
+            start = t
             # the last step writes the next state into row 0 of the following
             # block, a block of one row when the run ends with this one
             following = TraceBlock.empty(market, max(1, min(size, end - t - len(steps))))
-            prices, stacked_bids, b_end = steps.prices, steps.bids, following.bids[0]
+            bid_rows = list(steps.bids)
+            bid_rows.append(following.bids[0])
             if exchange:
-                balances, B_end = steps.budgets_B, following.budgets_B[0]
+                balance_rows = list(steps.budgets_B)
+                balance_rows.append(following.budgets_B[0])
             else:  # the Fisher map reads no bank balances
-                balances, B_end = [None] * len(steps), None
-            for k in range(last + 1):
-                if k == last:
-                    B_out, b_out = B_end, b_end
-                else:
-                    B_out, b_out = balances[k + 1], stacked_bids[k + 1]
-                x = allocation[k]
-                step(stacked_bids[k], balances[k], prices[k], x, B_out, b_out)
-                if tol:
-                    now = x if exchange else prices[k]
-                    if prev is not None:
-                        delta = float(np.maximum.reduce(np.abs(now - prev), None))
-                    if delta < tol:
-                        break
-                    prev = now
-            count = k + 1
+                balance_rows = [None] * len(bid_rows)
+            count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
+                                     balance_rows[1:], bid_rows[1:], tol, prev)
             t = start + count
-            _check_floor(stacked_bids[1:count], start)
-            _check_floor(b_out[None], t - 1)
+            _check_floor(steps.bids[1:count], start)
+            _check_floor(bid_rows[count][None], t - 1)
             done = delta < tol or t == end
-            stops = allocation if exchange else prices
+            stops = allocation if exchange else steps.prices
             # the next block overwrites the scratch, so the stop test goes on from a copy
             prev = before = _settle(trace, steps, stops[:count], start, count, before,
                                     record_every, done)

@@ -668,3 +668,17 @@ class TestVerify:
             "--out", str(tmp_path / "v"),
         ])
         assert code == 2  # surfaced as a machine-readable error record
+
+
+class TestConsoleEntry:
+    def test_console_main_freezes_the_collector_then_runs_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        assert cli.console_main() == 3
+        assert calls == ["freeze", "main"]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        frozen = cli.gc.get_freeze_count()
+        assert main(["gen", "2", "2", "ces", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 0
+        assert cli.gc.get_freeze_count() == frozen

@@ -31,7 +31,13 @@ from prdyn import (
 )
 from prdyn.cli import generate_market
 from prdyn.dynamics import BID_FLOOR
-from prdyn.errors import InconsistentSpending, NonPositiveBid, UnderflowDetected
+from prdyn.errors import (
+    InconsistentSpending,
+    NonPositiveBid,
+    NonPositiveBudget,
+    ShapeMismatch,
+    UnderflowDetected,
+)
 from prdyn.market import BLOCK_ENTRIES
 from conftest import FAMILIES, random_fisher_market
 from test_exchange import random_exchange_market
@@ -132,6 +138,27 @@ def test_driver_matches_per_step_reference(
         assert n_steps > 3 * BLOCK_ENTRIES // (N * M)
     else:
         assert stop_reason == "price_tol"
+
+
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_price_tol_stop_at_a_block_edge(reference, monkeypatch, mode):
+    """The stop test of a block's first step reads the stop quantity of the
+    previous block's last step."""
+    market, (records, drift, n_steps, stop_reason) = reference[mode, 1e-9]
+    assert stop_reason == "price_tol"
+    last = n_steps - 1  # the step that stops the run
+    _, _, run = stepper(market)
+    # blocks of `rows` steps: the stopping step is the only row of its block
+    # for rows = 1, its first row for rows = last, its last row for
+    # rows = last + 1 and the row after its first for rows = last - 1
+    for rows in (1, last - 1, last, last + 1):
+        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        for record_every in (1, 7):
+            trace = run(StopRule(LONG, 1e-9), record_every)
+            kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
+            assert [bits(r) for r in trace.records] == [bits(r) for r in kept]
+            assert repr(trace.budget_drift) == repr(drift)
+            assert (trace.n_steps, trace.stop_reason) == (n_steps, stop_reason)
 
 
 def tiny_budget_market():
@@ -293,6 +320,30 @@ def test_spending_not_alpha_times_balance_is_refused():
     with pytest.raises(NonPositiveBid):  # the bids are checked first
         run_exchange(market, ExchangeState(init.budgets_B, e, zero_bid), StopRule(10))
     assert run_exchange(market, init, StopRule(10)).n_steps == 10
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -5.0])
+def test_balance_not_finite_and_positive_is_refused(value):
+    # a run from such a B would fail later, with an UnderflowDetected that blames the dynamics
+    market = mixed_market("exchange")
+    init = default_initial_exchange(market)
+    B = init.budgets_B.copy()
+    B[3] = value
+    bad = ExchangeState(budgets_B=B, spend_e=market.laziness * B, bids=init.bids)
+    with pytest.raises(NonPositiveBudget, match="agent 3: budgets_B"):
+        run_exchange(market, bad, StopRule(10))
+    with pytest.raises(NonPositiveBudget, match="agent 3: budgets_B"):
+        lazy_step(market, bad)
+
+
+def test_balance_of_the_wrong_shape_is_refused():
+    market = mixed_market("exchange")
+    init = default_initial_exchange(market)
+    bad = ExchangeState(budgets_B=init.budgets_B[:3], spend_e=init.spend_e[:3], bids=init.bids)
+    with pytest.raises(ShapeMismatch, match=r"budgets_B shape \(3,\), market of 12 agents"):
+        run_exchange(market, bad, StopRule(10))
+    with pytest.raises(ShapeMismatch, match=r"budgets_B shape \(3,\), market of 12 agents"):
+        lazy_step(market, bad)
 
 
 def test_trace_memory_is_its_stacked_payload():

@@ -23,6 +23,26 @@ BID_FLOOR check of the next bids, the stop delta of every step, the budget
 drift over the bank balances of every step, recorded or not, and which
 rows the trace keeps. Every value is bit-identical to evaluating it step
 by step.
+
+In float arithmetic the dynamics does more than converge, as the paper
+shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
+an exact cycle and repeats bit for bit. On the 15 markets of the
+benchmark's exchange-long pool (seed 90001) it does so from step 76-189
+on, with period 1 on 9 markets, 2 on 5 and 3 on 1; 6 x 8 markets of each
+family and seeds 0-2 cycle with period 1-3 in both modes, from step 76-169
+on (from step 1 on Cobb-Douglas Fisher markets); a 12 x 16 mixed Fisher
+market has period 6 from step 157 on. The map is a pure function of the
+bits of (b, B), and it overwrites all of its scratch at every step, so
+once s_{k+P} = s_k every later row, bids, bank balances, prices and
+allocation, repeats with period P. After each full block it stepped, the
+driver therefore looks for the state after the block among the block's
+rows, bit for bit (``_cycle``). When it finds it, it fills every later
+block by copying the P rows of the cycle (``_fill``) instead of stepping,
+and the floor check and the block bookkeeping run on the filled rows as on
+stepped ones. It does not fill when a step of the cycle moves the stop
+quantity by less than price_tol: stepping on then stops the run within P
+steps. So a run that cycles steps at most the steps to the cycle's onset,
+P and one block, and the filled rows are the stepped ones bit for bit.
 """
 
 from __future__ import annotations
@@ -49,8 +69,10 @@ from .market import (
     TraceBlock,
 )
 
-# Bids this small mean the dynamics is heading into a boundary allocation,
-# where the potential-function bookkeeping is no longer trustworthy.
+# Bids this small are about to leave float range, and past them the
+# potential-function bookkeeping is no longer trustworthy. A run reaches them
+# on its way to a boundary allocation, and also on near-linear CES markets
+# (every rho = 0.999), whose interior equilibrium bids lie below float range.
 BID_FLOOR = 1e-280
 
 
@@ -146,7 +168,8 @@ def _check_floor(next_bids: np.ndarray, t: int):
     if low.size:
         raise UnderflowDetected(
             f"bid below {BID_FLOOR} or NaN at iteration {t + int(low[0]) + 1}; "
-            "the dynamics is approaching a boundary allocation"
+            "the bids are leaving float range, as near a boundary allocation "
+            "or on a near-linear CES market"
         )
 
 
@@ -254,6 +277,53 @@ def _settle(trace: DynamicsTrace, steps: TraceBlock, now: np.ndarray, start: int
     return now[-1].copy()
 
 
+def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, start: int, tol: float):
+    """The exact cycle a run has entered, found from the full block `steps`
+    of the steps start, start + 1, ..., its stop quantities `stops` and the
+    state after it, in row 0 of `following`. When that state repeats a row
+    of the block bit for bit, the nearest such row k starts a cycle of
+    P = len(steps) - k steps: the map is a pure function of the state's
+    bits, so every later row repeats row k + (i mod P). Returns the first
+    step of the cycle, start + k, and copies of its P rows of bids, bank
+    balances, prices and, in an exchange market, allocations. Returns None
+    when no row matches, or when a step of the cycle, counting the wrap from
+    its last row back to its first, moves the stop quantity by less than
+    tol: stepping on then stops the run within P steps."""
+    bits, exchange = np.uint64, steps.budgets_B is not None
+    state = steps.bids.reshape(len(steps), -1).view(bits)
+    new = following.bids[0].reshape(-1).view(bits)
+    near = np.flatnonzero(state[:, 0] == new[0])  # a repeat has the same first bid
+    same = (state[near] == new).all(axis=1)
+    if exchange:
+        same &= (steps.budgets_B[near].view(bits) == following.budgets_B[0].view(bits)).all(axis=1)
+    match = near[same]
+    if not match.size:
+        return None
+    k = int(match[-1])
+    q = stops[k:]
+    moves = np.maximum.reduce(np.abs(q - np.roll(q, 1, axis=0)).reshape(len(q), -1), axis=1)
+    if not np.all(moves >= tol):
+        return None
+    # a Fisher market has no bank balances, and its stop quantities are the prices
+    B, x = (steps.budgets_B[k:].copy(), q.copy()) if exchange else (None, None)
+    return start + k, (steps.bids[k:].copy(), B, steps.prices[k:].copy(), x)
+
+
+def _fill(first: int, rows, start: int, steps: TraceBlock, allocation: np.ndarray) -> int:
+    """Copy into the block `steps` of the steps start, start + 1, ... what
+    the stepper would write, from the P rows (bids, bank balances, prices,
+    allocations) of the cycle that began at step `first`: step t repeats
+    row (t - first) mod P. Returns the number of steps filled."""
+    n = len(steps)
+    # in range, so "clip" clips nothing; "wrap" would reduce each index by
+    # repeated subtraction, and "raise" would buffer the output
+    phases = np.arange(start - first, start - first + n) % len(rows[0])
+    for cycle, block in zip(rows, (steps.bids, steps.budgets_B, steps.prices, allocation[:n])):
+        if cycle is not None:
+            np.take(cycle, phases, 0, block, "clip")
+    return n
+
+
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
     """The one run loop for both modes. It stops when the stop quantity
     moves less than stop.price_tol in the infinity norm between successive
@@ -271,7 +341,10 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     as a copy. The steps run with numpy's floating-point warnings off, and
     the next bids of a block's steps are checked against BID_FLOOR once the
     block is done: the run raises at the same iteration as a step-by-step
-    loop, and nothing that follows the crossing is kept."""
+    loop, and nothing that follows the crossing is kept. Once a full block
+    shows the exact cycle the run has entered, and no step of the cycle
+    stops the run, every later block is filled from the cycle's rows instead
+    of stepped (see the module docstring)."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
@@ -288,25 +361,29 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     steps.bids[0] = bids
     if exchange:
         steps.budgets_B[0] = B
-    prev, before = None, None
+    prev, before, cycle = None, None, None
     with np.errstate(all="ignore"):
         while True:
             start = t
             # the last step writes the next state into row 0 of the following
             # block, a block of one row when the run ends with this one
             following = TraceBlock.empty(market, max(1, min(size, end - t - len(steps))))
-            bid_rows = list(steps.bids)
-            bid_rows.append(following.bids[0])
-            if exchange:
-                balance_rows = list(steps.budgets_B)
-                balance_rows.append(following.budgets_B[0])
-            else:  # the Fisher map reads no bank balances
-                balance_rows = [None] * len(bid_rows)
-            count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
-                                     balance_rows[1:], bid_rows[1:], tol, prev)
+            if cycle is None:
+                bid_rows = list(steps.bids)
+                bid_rows.append(following.bids[0])
+                if exchange:
+                    balance_rows = list(steps.budgets_B)
+                    balance_rows.append(following.budgets_B[0])
+                else:  # the Fisher map reads no bank balances
+                    balance_rows = [None] * len(bid_rows)
+                count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
+                                         balance_rows[1:], bid_rows[1:], tol, prev)
+            else:  # no step of the cycle stops the run: copy it, don't step it
+                count, delta = _fill(*cycle, start, steps, allocation), float("inf")
             t = start + count
             _check_floor(steps.bids[1:count], start)
-            _check_floor(bid_rows[count][None], t - 1)
+            if cycle is None:  # the state after a filled block is a row of the cycle
+                _check_floor(bid_rows[count][None], t - 1)
             done = delta < tol or t == end
             stops = allocation if exchange else steps.prices
             # the next block overwrites the scratch, so the stop test goes on from a copy
@@ -314,6 +391,8 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                                     record_every, done)
             if done:
                 break
+            if cycle is None:
+                cycle = _cycle(steps, following, stops[:count], start, tol)
             steps = following
     trace.n_steps = t
     trace.stop_reason = "price_tol" if delta < tol else "max_iters"

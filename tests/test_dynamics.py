@@ -1,8 +1,9 @@
 """The run driver against a per-step reference loop over pr_step / lazy_step.
 
-The driver settles budget drift and the stop delta block-wise; the reference
-evaluates both at every step, the way the driver did before. Every record
-field, the drift, n_steps and the stop reason must match bit for bit.
+The driver settles budget drift and the stop delta block-wise, and once the
+state repeats bit for bit it copies the cycle instead of stepping; the
+reference steps and evaluates both at every step. Every record field, the
+drift, n_steps and the stop reason must match bit for bit.
 """
 
 import re
@@ -30,7 +31,7 @@ from prdyn import (
     validate_market,
 )
 from prdyn.cli import generate_market
-from prdyn.dynamics import BID_FLOOR
+from prdyn.dynamics import BID_FLOOR, _cycle, _pr_map
 from prdyn.errors import (
     InconsistentSpending,
     NonPositiveBid,
@@ -38,7 +39,7 @@ from prdyn.errors import (
     ShapeMismatch,
     UnderflowDetected,
 )
-from prdyn.market import BLOCK_ENTRIES
+from prdyn.market import BLOCK_ENTRIES, TraceBlock
 from conftest import FAMILIES, random_fisher_market
 from test_exchange import random_exchange_market
 
@@ -92,6 +93,16 @@ def bits(record):
     )
 
 
+def assert_matches_reference(trace, reference, record_every):
+    """The trace keeps the reference's every record_every-th record and its
+    last, bit for bit, with the same drift, n_steps and stop reason."""
+    records, drift, n_steps, stop_reason = reference
+    kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
+    assert [bits(r) for r in trace.records] == [bits(r) for r in kept]
+    assert repr(trace.budget_drift) == repr(drift)
+    assert (trace.n_steps, trace.stop_reason) == (n_steps, stop_reason)
+
+
 @pytest.fixture(scope="module")
 def reference():
     """Reference runs keyed by (mode, price_tol), computed once."""
@@ -109,7 +120,8 @@ def reference():
 def test_driver_matches_per_step_reference(
     reference, monkeypatch, mode, record_every, price_tol
 ):
-    market, (records, drift, n_steps, stop_reason) = reference[mode, price_tol]
+    market, run = reference[mode, price_tol]
+    records, _, n_steps, stop_reason = run
     balances = []  # every stack of bank balances the drift is widened by
     track = DynamicsTrace.track_budget_drift
 
@@ -123,16 +135,13 @@ def test_driver_matches_per_step_reference(
         trace = run_fisher(market, default_initial_bids(market), stop, record_every)
     else:
         trace = run_exchange(market, default_initial_exchange(market), stop, record_every)
-    kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
-    assert [bits(r) for r in trace.records] == [bits(r) for r in kept]
-    assert repr(trace.budget_drift) == repr(drift)
+    assert_matches_reference(trace, run, record_every)
     if mode == "exchange":
         # the drift covers the bank balances of every step, recorded or not
         every_step = np.array([r.budgets_B for r in records])
         assert np.concatenate(balances).tobytes() == every_step.tobytes()
     else:
         assert not balances
-    assert (trace.n_steps, trace.stop_reason) == (n_steps, stop_reason)
     if price_tol == 0:
         # the run spans several bookkeeping blocks of the driver
         assert n_steps > 3 * BLOCK_ENTRIES // (N * M)
@@ -144,7 +153,8 @@ def test_driver_matches_per_step_reference(
 def test_price_tol_stop_at_a_block_edge(reference, monkeypatch, mode):
     """The stop test of a block's first step reads the stop quantity of the
     previous block's last step."""
-    market, (records, drift, n_steps, stop_reason) = reference[mode, 1e-9]
+    market, run_1e9 = reference[mode, 1e-9]
+    _, _, n_steps, stop_reason = run_1e9
     assert stop_reason == "price_tol"
     last = n_steps - 1  # the step that stops the run
     _, _, run = stepper(market)
@@ -155,10 +165,7 @@ def test_price_tol_stop_at_a_block_edge(reference, monkeypatch, mode):
         monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         for record_every in (1, 7):
             trace = run(StopRule(LONG, 1e-9), record_every)
-            kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
-            assert [bits(r) for r in trace.records] == [bits(r) for r in kept]
-            assert repr(trace.budget_drift) == repr(drift)
-            assert (trace.n_steps, trace.stop_reason) == (n_steps, stop_reason)
+            assert_matches_reference(trace, run_1e9, record_every)
 
 
 def tiny_budget_market():
@@ -266,6 +273,146 @@ def test_floor_crossing_on_any_row_of_a_block(crossings, monkeypatch, mode):
         monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
             run(StopRule(20000, 0.0))
+
+
+# Markets whose state lands on an exact cycle; the periods, measured with
+# numpy 2.4 on x86-64, are in the names, and the onsets are at steps 131-167.
+CYCLING = {
+    "fisher-P1": lambda: generate_market(6, 8, "ces", seed=0),
+    "exchange-P1": lambda: generate_market(6, 8, "ces", seed=0, mode=Mode.EXCHANGE),
+    "fisher-P2": lambda: generate_market(6, 8, "ces", seed=1),
+    "exchange-P2": lambda: generate_market(6, 8, "separable_power", seed=1, mode=Mode.EXCHANGE),
+    "exchange-P3": lambda: generate_market(6, 8, "ces", seed=1, mode=Mode.EXCHANGE),
+    "fisher-P6": lambda: mixed_market("fisher"),
+}
+CYCLE_STEPS = 800  # past each onset and the first driver block at default size
+
+
+def cycle_of(records):
+    """(onset, period) of the exact cycle a reference run ends in: the
+    smallest P whose state P steps back equals the last, bit for bit, and
+    the first step t whose state equals that of t + P."""
+    states = [r.bids.tobytes() + (r.budgets_B.tobytes() if r.budgets_B is not None else b"")
+              for r in records]
+    period = next(P for P in range(1, len(states)) if states[-1 - P] == states[-1])
+    onset = len(states) - 1 - period
+    while onset and states[onset - 1] == states[onset - 1 + period]:
+        onset -= 1
+    return onset, period
+
+
+@pytest.fixture(scope="module")
+def cycling():
+    """name -> (market, {price_tol: reference run}, onset, period)."""
+    runs = {}
+    for name, make in CYCLING.items():
+        market = make()
+        references = {tol: reference_run(market, CYCLE_STEPS, tol) for tol in (0.0, 1e-300)}
+        runs[name] = (market, references, *cycle_of(references[0.0][0]))
+    return runs
+
+
+def count_steps(monkeypatch) -> list:
+    """Make the driver's stepper count the steps it takes into the returned
+    one-item list."""
+    stepped = [0]
+
+    def counting(market):
+        steps = _pr_map(market)
+
+        def counted(*rows):
+            count, delta = steps(*rows)
+            stepped[0] += count
+            return count, delta
+
+        return counted
+
+    monkeypatch.setattr("prdyn.dynamics._pr_map", counting)
+    return stepped
+
+
+def steps_taken(reference, onset, period, rows) -> int:
+    """The steps a run in blocks of `rows` steps takes before it fills. It
+    finds the cycle at the end of the first block whose last P rows lie in
+    it, and fills from there on, unless P > rows, where no block holds a
+    whole cycle, or a step of the cycle stops the run."""
+    _, _, n_steps, stop_reason = reference
+    if stop_reason == "price_tol" or period > rows:
+        return n_steps
+    return min(n_steps, rows * -(-(onset + period) // rows))
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 20000])
+@pytest.mark.parametrize("price_tol", [0.0, 1e-300])
+@pytest.mark.parametrize("name", CYCLING)
+def test_cycle_fill_matches_per_step_reference(cycling, monkeypatch, name, price_tol, record_every):
+    # 1e-300 stops a period-1 cycle, whose stop delta is 0, and lets the
+    # others run to max_iters
+    market, references, onset, period = cycling[name]
+    reference = references[price_tol]
+    stepped = count_steps(monkeypatch)
+    trace = stepper(market)[2](StopRule(CYCLE_STEPS, price_tol), record_every)
+    assert_matches_reference(trace, reference, record_every)
+    assert reference[3] == ("price_tol" if price_tol and period == 1 else "max_iters")
+    rows = BLOCK_ENTRIES // (market.n_buyers * market.n_goods)
+    assert stepped[0] == steps_taken(reference, onset, period, rows)
+    if reference[3] == "max_iters":
+        assert stepped[0] < CYCLE_STEPS  # the run was filled
+
+
+@pytest.mark.parametrize("price_tol", [0.0, 1e-300])
+@pytest.mark.parametrize("name", CYCLING)
+def test_cycle_fill_at_any_row_of_a_block(cycling, monkeypatch, name, price_tol):
+    market, references, onset, period = cycling[name]
+    _, _, run = stepper(market)
+    # blocks of `rows` steps: the cycle starts on the first row of a block
+    # for rows = onset, on the last row for onset + 1, from where its P rows
+    # cross into the next block, and is found as a whole block for
+    # rows = period; with rows = period - 1 no block holds a whole cycle and
+    # every step is taken
+    for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
+        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        stepped = count_steps(monkeypatch)
+        trace = run(StopRule(CYCLE_STEPS, price_tol))
+        assert_matches_reference(trace, references[price_tol], 1)
+        assert stepped[0] == steps_taken(references[price_tol], onset, period, rows)
+
+
+@pytest.mark.parametrize("name", CYCLING)
+def test_cycling_run_steps_only_to_its_cycle(cycling, monkeypatch, name):
+    """A 20 000-step run of a cycling market steps at most its onset, its
+    period and one driver block, and copies the rest from the cycle."""
+    market, references, onset, period = cycling[name]
+    stepped = count_steps(monkeypatch)
+    trace = stepper(market)[2](StopRule(20000, 0.0), 20000)
+    assert (trace.n_steps, trace.stop_reason) == (20000, "max_iters")
+    assert stepped[0] <= onset + period + BLOCK_ENTRIES // (market.n_buyers * market.n_goods)
+    first, last = trace.records  # the state of step 19 999 is that of the cycle's phase
+    same = references[0.0][0][onset + (19999 - onset) % period]
+    assert bits(first) == bits(references[0.0][0][0])
+    assert bits(last)[2:] == bits(same)[2:]
+
+
+def test_an_exchange_state_repeats_only_with_its_bank_balances():
+    # the lazy-PR map reads B as well as b: bids that repeat bit for bit
+    # start no cycle while a bank balance differs in its last bit
+    market = mixed_market("exchange")
+    rng = np.random.default_rng(0)
+    steps, following = TraceBlock.empty(market, 3), TraceBlock.empty(market, 1)
+    for block in (steps, following):
+        for a in (block.prices, block.bids, block.budgets_B):
+            a[...] = rng.random(a.shape)
+    stops = rng.random(steps.bids.shape)
+    following.bids[0] = steps.bids[1]
+    following.budgets_B[0] = steps.budgets_B[1]
+    following.budgets_B[0, 5] = np.nextafter(steps.budgets_B[1, 5], 1.0)
+    assert _cycle(steps, following, stops, 10, 0.0) is None
+    following.budgets_B[0] = steps.budgets_B[1]
+    first, (bids, B, prices, x) = _cycle(steps, following, stops, 10, 0.0)
+    assert first == 11
+    for cycle, whole in ((bids, steps.bids), (B, steps.budgets_B), (prices, steps.prices),
+                         (x, stops)):
+        assert cycle.tobytes() == whole[1:].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["fisher", "exchange"])

@@ -6,7 +6,13 @@ array expression over a trace's rows stacked along a leading time axis. A
 check walks the trace's stored blocks of at most ``BLOCK_ENTRIES`` bids, so
 beyond the trace it holds one block's derived arrays plus a few floats per
 row, whatever the trace length; the running mean of the prices carries its
-cumulative sum from block to block.
+cumulative sum from block to block. A per-row series (the Fisher potential
+and price term, the Lemma 3.3 gaps, the exchange potential) depends on its
+row alone, and a row evaluates to the same bits alone or inside a block. So
+on a trace whose run driver found an exact cycle (``DynamicsTrace.cycle``)
+``_per_row`` evaluates the blocks up to the end of the cycle's first period
+only and gives every later row the value of its phase, bit for bit what
+evaluating it would give.
 The single-state functions (``kl_divergence``, ``fisher_potential``,
 ``exchange_potential``, ``lemma_33_check``) are one-row calls of the same
 kernels. Checks never mutate the trace.
@@ -91,6 +97,21 @@ def _blocks(trace: DynamicsTrace) -> Iterator[Tuple[slice, TraceBlock]]:
         start += len(block)
 
 
+def _per_row(trace: DynamicsTrace, series) -> np.ndarray:
+    """series(block), an array of one value per row of a block, for every
+    row of a consecutive trace. On a trace that cycles from iteration onset
+    on with period P, the blocks after the one that holds row onset + P - 1
+    are not evaluated: row t takes the value of row onset + (t - onset) mod P."""
+    values = np.empty(len(trace.records))
+    for rows, block in _blocks(trace):
+        values[rows] = series(block)
+        if trace.cycle is not None and rows.stop >= sum(trace.cycle):
+            onset, period = trace.cycle
+            values[rows.stop:] = values[onset + (np.arange(rows.stop, len(values)) - onset) % period]
+            break
+    return values
+
+
 def _report(potentials: np.ndarray, excess: np.ndarray, slack: float) -> DiagnosticsReport:
     """Report a potential series whose step t violates its inequality by
     excess[t]; a NaN excess counts as a violation."""
@@ -108,11 +129,8 @@ def check_potential_decrease(
 ) -> DiagnosticsReport:
     """Per-step inequality KL(b*|b^{t+1}) <= KL(b*|b^t) - KL(p*|p^t)."""
     _require_consecutive(trace)
-    potentials = np.empty(len(trace.records))
-    price_terms = np.empty(len(trace.records))
-    for rows, block in _blocks(trace):
-        potentials[rows] = _kl_rows(eq.b_star, block.bids)
-        price_terms[rows] = _kl_rows(eq.p_star, block.prices)
+    potentials = _per_row(trace, lambda block: _kl_rows(eq.b_star, block.bids))
+    price_terms = _per_row(trace, lambda block: _kl_rows(eq.p_star, block.prices))
     excess = potentials[1:] - (potentials[:-1] - price_terms[:-1])
     return _report(potentials, excess, slack)
 
@@ -210,9 +228,9 @@ def check_exchange_potential_decrease(
         )
     _require_consecutive(trace)
     alpha = np.asarray(alpha, dtype=float)
-    potentials = np.empty(len(trace.records))
-    for rows, block in _blocks(trace):
-        potentials[rows] = _exchange_potentials(transformed, alpha, block.bids, block.spend_e)
+    potentials = _per_row(
+        trace, lambda block: _exchange_potentials(transformed, alpha, block.bids, block.spend_e)
+    )
     return _report(potentials, np.diff(potentials), slack)
 
 
@@ -229,9 +247,7 @@ def diagnose_fisher(
     report = check_potential_decrease(trace, eq, slack)
     T, lhs, rhs = _avg_price_rate(trace, eq, trace.records[0].bids)
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
-    gaps = np.empty(len(trace.records))
-    for rows, block in _blocks(trace):
-        gaps[rows] = _lemma_33_gaps(market, eq, block.allocation, feas_tol=1e-8)
+    gaps = _per_row(trace, lambda block: _lemma_33_gaps(market, eq, block.allocation, 1e-8))
     report.lemma_gap_min = float(gaps.min())
     rate_ok = bool(np.all(lhs <= rhs + slack))
     lemma_ok = bool(np.all(gaps <= slack))

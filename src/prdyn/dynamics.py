@@ -36,13 +36,21 @@ bits of (b, B), and it overwrites all of its scratch at every step, so
 once s_{k+P} = s_k every later row, bids, bank balances, prices and
 allocation, repeats with period P. After each full block it stepped, the
 driver therefore looks for the state after the block among the block's
-rows, bit for bit (``_cycle``). When it finds it, it fills every later
-block by copying the P rows of the cycle (``_fill``) instead of stepping,
-and the floor check and the block bookkeeping run on the filled rows as on
-stepped ones. It does not fill when a step of the cycle moves the stop
-quantity by less than price_tol: stepping on then stops the run within P
-steps. So a run that cycles steps at most the steps to the cycle's onset,
-P and one block, and the filled rows are the stepped ones bit for bit.
+rows, bit for bit (``_cycle``). When it finds it, it steps no more
+(``_repeat``): it tiles the P rows of the cycle, bids, bank balances,
+prices and stop deltas, once into one read-only buffer of a block plus
+P - 1 rows, and every later block of the trace is a TraceBlock of views of
+that buffer at the block's phase, with an iteration array of its own. Those
+blocks take no floor check and no stop-delta pass: each of their rows is a
+row of the cycle, checked and settled when it was stepped; the budget drift
+still reads their bank balances, and stays as it was. It does not repeat
+the cycle when a step of the cycle moves the stop quantity by less than
+price_tol: stepping on then stops the run within P steps. So a run that
+cycles steps at most the steps to the cycle's onset, P and one block, its
+later rows are the stepped ones bit for bit, and its trace holds the
+stepped rows, one block of the cycle and an iteration per row. The trace
+records the cycle as ``DynamicsTrace.cycle``, for the diagnostics to
+evaluate each distinct row once.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidRunControl(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.price_tol < 0:
+        if not self.price_tol >= 0:  # a NaN tolerance would never stop a run
             raise InvalidRunControl(f"price_tol must be nonnegative, got {self.price_tol}")
 
 
@@ -250,13 +258,10 @@ def _settle(trace: DynamicsTrace, steps: TraceBlock, now: np.ndarray, start: int
     state the first count rows of the block `steps` hold and whose stop
     quantities are the rows of `now`: fill in their iterations and stop
     deltas, widen the budget drift by their bank balances, and add to the
-    trace every record_every-th row and, when the run is done, the last one.
-    The deltas are written row against row into one fresh array, so the
-    block is not copied to prepend `before`. A full block whose rows are all
-    kept joins the trace as it is; otherwise its kept rows are copied out,
-    so that the trace holds no unused rows. `before` is the stop quantity of
-    the step before start, None at the first step of the run. Returns a copy
-    of the stop quantity of the last step."""
+    trace the rows _keep keeps. The deltas are written row against row into
+    one fresh array, so the block is not copied to prepend `before`, the
+    stop quantity of the step before start, None at the first step of the
+    run. Returns a copy of the stop quantity of the last step."""
     steps.iteration[:count] = np.arange(start, start + count)
     rows = steps.take(slice(count))
     diff = np.empty_like(now)
@@ -268,13 +273,30 @@ def _settle(trace: DynamicsTrace, steps: TraceBlock, now: np.ndarray, start: int
     steps.stop_delta[:count] = np.maximum.reduce(np.abs(diff, out=diff).reshape(count, -1), axis=1)
     if rows.budgets_B is not None:
         trace.track_budget_drift(rows.budgets_B)
+    _keep(trace, rows, count == len(steps), record_every, done)
+    return now[-1].copy()
+
+
+def _keep(trace: DynamicsTrace, rows: TraceBlock, full: bool, record_every: int, done: bool):
+    """Add to the trace every record_every-th row of `rows` and, when the run
+    is done, the last. When `full`, every row of the arrays `rows` views is
+    a step of the run, and a block whose rows are all kept joins the trace
+    as it is; otherwise its kept rows are copied out, so that the trace
+    holds no unused rows."""
     keep = rows.iteration % record_every == 0
     keep[-1] |= done
-    if count == len(steps) and keep.all():
+    if full and keep.all():
         trace.blocks.append(rows)
     elif keep.any():
         trace.blocks.append(rows.take(keep))
-    return now[-1].copy()
+
+
+def _moves(stops: np.ndarray) -> np.ndarray:
+    """The stop delta of each step of a cycle whose stop quantities are
+    `stops`, the first step's taken from the last, as the cycle wraps."""
+    return np.maximum.reduce(
+        np.abs(stops - np.roll(stops, 1, axis=0)).reshape(len(stops), -1), axis=1
+    )
 
 
 def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, start: int, tol: float):
@@ -301,27 +323,45 @@ def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, start: i
         return None
     k = int(match[-1])
     q = stops[k:]
-    moves = np.maximum.reduce(np.abs(q - np.roll(q, 1, axis=0)).reshape(len(q), -1), axis=1)
-    if not np.all(moves >= tol):
+    if not np.all(_moves(q) >= tol):
         return None
     # a Fisher market has no bank balances, and its stop quantities are the prices
     B, x = (steps.budgets_B[k:].copy(), q.copy()) if exchange else (None, None)
     return start + k, (steps.bids[k:].copy(), B, steps.prices[k:].copy(), x)
 
 
-def _fill(first: int, rows, start: int, steps: TraceBlock, allocation: np.ndarray) -> int:
-    """Copy into the block `steps` of the steps start, start + 1, ... what
-    the stepper would write, from the P rows (bids, bank balances, prices,
-    allocations) of the cycle that began at step `first`: step t repeats
-    row (t - first) mod P. Returns the number of steps filled."""
-    n = len(steps)
-    # in range, so "clip" clips nothing; "wrap" would reduce each index by
-    # repeated subtraction, and "raise" would buffer the output
-    phases = np.arange(start - first, start - first + n) % len(rows[0])
-    for cycle, block in zip(rows, (steps.bids, steps.budgets_B, steps.prices, allocation[:n])):
-        if cycle is not None:
-            np.take(cycle, phases, 0, block, "clip")
-    return n
+def _repeat(trace: DynamicsTrace, first: int, rows, t: int, end: int, size: int,
+            record_every: int, laziness):
+    """Add to the trace the steps t .. end - 1, in blocks of at most `size`,
+    of a run that from step `first` on repeats the P rows `rows` (bids, bank
+    balances, prices, allocations) that _cycle returned: step s is row
+    (s - first) mod P. The rows and their stop deltas are tiled once into a
+    read-only buffer of one block plus P - 1 rows; each block views it from
+    the phase of its first step and has an iteration array of its own, and
+    _keep copies out the kept rows of a block whose rows are not all kept.
+    Nothing is stepped, floor-checked or given stop deltas: every row is a
+    row of the cycle, checked and settled when it was stepped. Records the
+    cycle on the trace."""
+    bids, B, prices, x = rows
+    period = len(bids)
+    tile = np.arange(min(size, end - t) + period - 1) % period
+    tiled = [None if a is None else np.take(a, tile, 0)
+             for a in (prices, bids, _moves(prices if x is None else x), B)]
+    for a in tiled:
+        if a is not None:
+            a.flags.writeable = False
+    trace.cycle = first, period
+    while t < end:
+        n = min(size, end - t)
+        phase = (t - first) % period
+        iteration = np.arange(t, t + n, dtype=float)
+        iteration.flags.writeable = False
+        block = TraceBlock(iteration, *(None if a is None else a[phase:phase + n] for a in tiled),
+                           laziness)
+        if block.budgets_B is not None:  # the drift covers every step, as _settle's does
+            trace.track_budget_drift(block.budgets_B)
+        t += n
+        _keep(trace, block, True, record_every, t == end)
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
@@ -343,8 +383,8 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     block is done: the run raises at the same iteration as a step-by-step
     loop, and nothing that follows the crossing is kept. Once a full block
     shows the exact cycle the run has entered, and no step of the cycle
-    stops the run, every later block is filled from the cycle's rows instead
-    of stepped (see the module docstring)."""
+    stops the run, the rest of the run is views of the cycle's rows
+    (_repeat; see the module docstring)."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
@@ -361,29 +401,25 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     steps.bids[0] = bids
     if exchange:
         steps.budgets_B[0] = B
-    prev, before, cycle = None, None, None
+    prev = before = None
     with np.errstate(all="ignore"):
         while True:
             start = t
             # the last step writes the next state into row 0 of the following
             # block, a block of one row when the run ends with this one
             following = TraceBlock.empty(market, max(1, min(size, end - t - len(steps))))
-            if cycle is None:
-                bid_rows = list(steps.bids)
-                bid_rows.append(following.bids[0])
-                if exchange:
-                    balance_rows = list(steps.budgets_B)
-                    balance_rows.append(following.budgets_B[0])
-                else:  # the Fisher map reads no bank balances
-                    balance_rows = [None] * len(bid_rows)
-                count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
-                                         balance_rows[1:], bid_rows[1:], tol, prev)
-            else:  # no step of the cycle stops the run: copy it, don't step it
-                count, delta = _fill(*cycle, start, steps, allocation), float("inf")
+            bid_rows = list(steps.bids)
+            bid_rows.append(following.bids[0])
+            if exchange:
+                balance_rows = list(steps.budgets_B)
+                balance_rows.append(following.budgets_B[0])
+            else:  # the Fisher map reads no bank balances
+                balance_rows = [None] * len(bid_rows)
+            count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
+                                     balance_rows[1:], bid_rows[1:], tol, prev)
             t = start + count
             _check_floor(steps.bids[1:count], start)
-            if cycle is None:  # the state after a filled block is a row of the cycle
-                _check_floor(bid_rows[count][None], t - 1)
+            _check_floor(bid_rows[count][None], t - 1)
             done = delta < tol or t == end
             stops = allocation if exchange else steps.prices
             # the next block overwrites the scratch, so the stop test goes on from a copy
@@ -391,8 +427,11 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                                     record_every, done)
             if done:
                 break
-            if cycle is None:
-                cycle = _cycle(steps, following, stops[:count], start, tol)
+            cycle = _cycle(steps, following, stops[:count], start, tol)
+            if cycle is not None:  # no step of the cycle stops the run: repeat it, don't step it
+                _repeat(trace, *cycle, t, end, size, record_every, market.laziness)
+                t = end
+                break
             steps = following
     trace.n_steps = t
     trace.stop_reason = "price_tol" if delta < tol else "max_iters"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import _check_price, demand_jacobian, demand_rows, kkt_rows
-from .errors import ModeMismatch
+from .errors import InvalidRunControl, ModeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
 from .utilities import shares
 
@@ -89,7 +89,10 @@ def _newton(market: MarketSpec, total: float, tol: float, max_iters: int) -> Equ
     full step is kept if it does not raise that residual, which leaves p*
     accurate well beyond tol. Stops with converged=False at the last valid
     iterate when no step length gives finite, positive prices and demand that
-    lower the residual."""
+    lower the residual. A tol that is not >= 0, such as NaN, which no
+    residual meets, raises InvalidRunControl."""
+    if not tol >= 0:
+        raise InvalidRunControl(f"tol must be nonnegative, got {tol}")
     rows = kkt_rows(market.utilities)
     exchange = market.mode is Mode.EXCHANGE
 

@@ -56,7 +56,7 @@ class BudgetNotDominated(PrdynError):
 # --- dynamics ---
 
 class InvalidRunControl(PrdynError, ValueError):
-    """A stop rule or recording interval out of range."""
+    """A stop rule, recording interval or oracle tolerance out of range."""
 
 
 class NonPositiveBid(PrdynError):

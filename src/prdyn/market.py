@@ -6,7 +6,10 @@ agents) plus a per-agent laziness parameter alpha in (0, 1).
 
 A DynamicsTrace stores the PR state of the recorded iterations, the state a
 full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
-derived when read.
+derived when read. After the exact cycle a run has entered, the run
+driver's blocks are read-only views of one buffer of the cycle's rows,
+shared between blocks, so a cycling run's trace holds its stepped rows, one
+block of the cycle and an iteration per row.
 """
 
 from __future__ import annotations
@@ -248,6 +251,14 @@ class DynamicsTrace:
     ``budget_drift`` is the worst deviation of sum_i B_i from 1 seen at any
     iteration of an exchange run (0.0 for Fisher runs); a trace built by
     ``stacked`` takes it from the given B_i.
+
+    ``cycle`` is (onset, period) when the run driver found that the run's
+    state repeats bit for bit: from iteration onset on, the bids, bank
+    balances and prices of iteration t are those of iteration
+    onset + (t - onset) mod period. The driver stepped the iterations
+    before onset + period, and its later blocks are read-only views of one
+    buffer of the cycle's rows. Only the driver sets it; it is None on a
+    trace that did not cycle and on one built by ``stacked``.
     """
 
     mode: Mode
@@ -255,6 +266,7 @@ class DynamicsTrace:
     stop_reason: str = ""
     n_steps: int = 0
     budget_drift: float = 0.0
+    cycle: Optional[Tuple[int, int]] = field(default=None, init=False)
 
     @classmethod
     def stacked(cls, market: MarketSpec, iteration, prices, bids, stop_delta,

@@ -304,6 +304,18 @@ class TestRun:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
 
+    @pytest.mark.parametrize("command, flag", [("run", "--price-tol"), ("solve", "--tol")])
+    def test_nan_tolerance_is_error(self, tmp_path, capsys, command, flag):
+        # no change is below nan, so a run would take every step and the
+        # oracle would report that it did not converge
+        mfile = tmp_path / "m.json"
+        main(["gen", "4", "5", "ces", "--seed", "3", "--out", str(mfile)])
+        capsys.readouterr()
+        code = main([command, "--market", str(mfile), flag, "nan", "--max-iters", "500",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
+
     def test_infinite_weight_is_error(self, tmp_path, capsys):
         mfile = tmp_path / "m.json"
         write_json(mfile, {
@@ -477,6 +489,11 @@ class TestVerify:
             (["2", "3", "ces", "--mode", "exchange", "--seed", "4"],
              ["--max-iters", "5", "--price-tol", "0"], 1),
             (["3", "4", "ces", "--seed", "7"], ["--price-tol", "1e-10"], 0),
+            # 20000 steps: run diagnoses the exact cycle's tail by phase,
+            # verify every row of the dump
+            (["4", "5", "ces", "--seed", "3"], ["--price-tol", "0", "--max-iters", "20000"], 0),
+            (["4", "5", "ces", "--mode", "exchange", "--seed", "3"],
+             ["--price-tol", "0", "--max-iters", "20000"], 0),
         ],
     )
     def test_verify_reproduces_run_diagnostics(self, tmp_path, gen_args, run_args, expected):

@@ -1,9 +1,10 @@
 """The run driver against a per-step reference loop over pr_step / lazy_step.
 
 The driver settles budget drift and the stop delta block-wise, and once the
-state repeats bit for bit it copies the cycle instead of stepping; the
-reference steps and evaluates both at every step. Every record field, the
-drift, n_steps and the stop reason must match bit for bit.
+state repeats bit for bit it repeats the cycle's rows as read-only views
+instead of stepping; the reference steps and evaluates both at every step.
+Every record field, the drift, n_steps and the stop reason must match bit
+for bit.
 """
 
 import re
@@ -22,18 +23,24 @@ from prdyn import (
     MarketSpec,
     Mode,
     StopRule,
+    check_exchange_potential_decrease,
     default_initial_bids,
     default_initial_exchange,
+    diagnose_fisher,
     lazy_step,
     pr_step,
     run_exchange,
     run_fisher,
+    solve_exchange_eq,
+    solve_fisher_eq,
+    transform_exchange_equilibrium,
     validate_market,
 )
 from prdyn.cli import generate_market
 from prdyn.dynamics import BID_FLOOR, _cycle, _pr_map
 from prdyn.errors import (
     InconsistentSpending,
+    InvalidRunControl,
     NonPositiveBid,
     NonPositiveBudget,
     ShapeMismatch,
@@ -391,6 +398,85 @@ def test_cycling_run_steps_only_to_its_cycle(cycling, monkeypatch, name):
     same = references[0.0][0][onset + (19999 - onset) % period]
     assert bits(first) == bits(references[0.0][0][0])
     assert bits(last)[2:] == bits(same)[2:]
+
+
+def diagnostics_bits(market, trace):
+    """Every field of the market mode's diagnostics report on trace, as repr."""
+    if market.mode is Mode.FISHER:
+        report = diagnose_fisher(trace, market, solve_fisher_eq(market))
+    else:
+        transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market))
+        report = check_exchange_potential_decrease(trace, transformed, market.laziness)
+    return repr(vars(report))
+
+
+def restacked(market, trace):
+    """The rows of trace rebuilt as one stacked trace, which knows no cycle."""
+    fields = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
+    arrays = [None if getattr(trace.blocks[0], f) is None
+              else np.concatenate([getattr(block, f) for block in trace.blocks]) for f in fields]
+    return DynamicsTrace.stacked(market, *arrays)
+
+
+@pytest.mark.parametrize("name", CYCLING)
+def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch, name):
+    """The diagnostics evaluate a cycling trace up to the end of its first
+    period and give later rows the value of their phase: every report field
+    equals, bit for bit, that of the same rows evaluated one by one."""
+    market, references, onset, period = cycling[name]
+    _, _, run = stepper(market)
+    # the block edges of test_cycle_fill_at_any_row_of_a_block
+    for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
+        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        trace = run(StopRule(CYCLE_STEPS, 0.0))
+        assert (trace.cycle is not None) == (rows >= period)
+        plain = restacked(market, trace)
+        assert plain.cycle is None
+        assert diagnostics_bits(market, trace) == diagnostics_bits(market, plain)
+
+
+def test_cycling_trace_holds_its_stepped_rows_and_one_cycle_block(monkeypatch):
+    """A 20 000-step run of a cycling 8 x 12 exchange market leaves allocated
+    at most 1.25 x the bytes of its stepped rows, one block of the cycle's
+    rows and 8 B of iteration per row: the blocks after the cycle are
+    read-only views of one buffer."""
+    market = random_exchange_market("ces", 8, 12, np.random.default_rng(501))
+    init = default_initial_exchange(market)
+    market.share_rows, market.ownership  # cached on the market before measuring
+    stepped = count_steps(monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_exchange(market, init, StopRule(20000, 0.0), record_every=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n, m, T = market.n_buyers, market.n_goods, len(trace.records)
+    assert T == 20000 and stepped[0] < T
+    block = BLOCK_ENTRIES // (n * m)
+    payload = 8 * (stepped[0] + block) * (1 + m + n * m + n + 1) + 8 * T
+    assert retained <= 1.25 * payload, retained / payload
+    onset, period = trace.cycle
+    tail = [b for b in trace.blocks if b.iteration[0] >= onset + period]
+    assert len(tail) >= 2
+    for b in tail:
+        for a in (b.iteration, b.prices, b.bids, b.stop_delta, b.budgets_B):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    assert np.shares_memory(tail[0].bids, tail[-1].bids)
+
+
+@pytest.mark.parametrize("mode", ["fisher", "exchange"])
+def test_nan_price_tol_is_refused(mode):
+    # delta < nan is never true, so such a run would never stop on its tolerance
+    market = mixed_market(mode)
+    _, _, run = stepper(market)
+    for tol in (np.nan, -1e-12):
+        with pytest.raises(InvalidRunControl, match="price_tol must be nonnegative"):
+            run(StopRule(500, tol))
+    solve = solve_fisher_eq if mode == "fisher" else solve_exchange_eq
+    with pytest.raises(InvalidRunControl, match="tol must be nonnegative, got nan"):
+        solve(market, tol=np.nan)
 
 
 def test_an_exchange_state_repeats_only_with_its_bank_balances():

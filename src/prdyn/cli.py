@@ -27,7 +27,7 @@ from .dynamics import (
     run_exchange,
     run_fisher,
 )
-from .errors import NonPositiveEntry, ParseError, PrdynError
+from .errors import InvalidRunControl, NonPositiveEntry, ParseError, PrdynError
 from .market import DynamicsTrace, MarketSpec, Mode, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
@@ -440,8 +440,10 @@ def _run_one(market: MarketSpec, args, out: Path) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.batch < 1:
+        raise InvalidRunControl(f"batch must be >= 1, got {args.batch}")
     src = load_market(args.market)
-    if args.batch <= 1:
+    if args.batch == 1:
         return _run_one(src, args, Path(args.out))
 
     # Run the seeds in turn, one subdirectory each. The per-seed market is
@@ -461,7 +463,7 @@ def cmd_run(args) -> int:
         write_market(market, sub / "market.json")
         try:
             codes.append(_run_one(market, args, sub))
-        except PrdynError as exc:
+        except (PrdynError, OSError) as exc:
             error = error or exc
     if error is not None:
         raise error
@@ -533,7 +535,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrdynError as exc:
+    except (PrdynError, OSError) as exc:  # a missing or unwritable file is no failed check
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

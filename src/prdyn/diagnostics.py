@@ -136,8 +136,8 @@ def check_potential_decrease(
 
 
 def _avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult, b0):
-    """Arrays T, lhs, rhs of the O(1/T) bound, T = 1..len(trace)."""
-    _require_consecutive(trace)
+    """Arrays T, lhs, rhs of the O(1/T) bound, T = 1..len(trace), of a
+    consecutive trace."""
     kl0 = fisher_potential(eq.b_star, b0)
     lhs = np.empty(len(trace.records))
     carried = 0.0  # sum of the prices before the block
@@ -155,6 +155,7 @@ def check_avg_price_rate(
     trace: DynamicsTrace, eq: EquilibriumResult, b0
 ) -> List[Tuple[int, float, float]]:
     """O(1/T) bound: KL(p* | mean of p^0..p^{T-1}) <= KL(b*|b^0) / T."""
+    _require_consecutive(trace)
     T, lhs, rhs = _avg_price_rate(trace, eq, b0)
     return list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
 
@@ -244,7 +245,7 @@ def diagnose_fisher(
     personal-price inequality at every recorded interior iterate."""
     if trace.mode is not Mode.FISHER:
         raise ModeMismatch(f"diagnose_fisher needs a fisher trace, got {trace.mode.value}")
-    report = check_potential_decrease(trace, eq, slack)
+    report = check_potential_decrease(trace, eq, slack)  # requires a consecutive trace
     T, lhs, rhs = _avg_price_rate(trace, eq, trace.records[0].bids)
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
     gaps = _per_row(trace, lambda block: _lemma_33_gaps(market, eq, block.allocation, 1e-8))

@@ -26,36 +26,32 @@ by step.
 
 In float arithmetic the dynamics does more than converge, as the paper
 shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
-an exact cycle and repeats bit for bit. On the 15 markets of the
-benchmark's exchange-long pool (seed 90001) it does so from step 76-189
-on, with period 1 on 9 markets, 2 on 5 and 3 on 1; 6 x 8 markets of each
-family and seeds 0-2 cycle with period 1-3 in both modes, from step 76-169
-on (from step 1 on Cobb-Douglas Fisher markets); a 12 x 16 mixed Fisher
-market has period 6 from step 157 on. The map is a pure function of the
-bits of (b, B), and it overwrites all of its scratch at every step, so
-once s_{k+P} = s_k every later row, bids, bank balances, prices and
-allocation, repeats with period P. After each full block it stepped, the
-driver therefore looks for the state after the block among the block's
-rows, bit for bit (``_cycle``). When it finds it, it steps no more
-(``_repeat``): it tiles the P rows of the cycle, bids, bank balances,
-prices and stop deltas, once into one read-only buffer of a block plus
-P - 1 rows, and every later block of the trace is a TraceBlock of views of
-that buffer at the block's phase, with an iteration array of its own. Those
-blocks take no floor check and no stop-delta pass: each of their rows is a
-row of the cycle, checked and settled when it was stepped; the budget drift
-still reads their bank balances, and stays as it was. It does not repeat
-the cycle when a step of the cycle moves the stop quantity by less than
-price_tol: stepping on then stops the run within P steps. So a run that
-cycles steps at most the steps to the cycle's onset, P and one block, its
-later rows are the stepped ones bit for bit, and its trace holds the
-stepped rows, one block of the cycle and an iteration per row. The trace
-records the cycle as ``DynamicsTrace.cycle``, for the diagnostics to
-evaluate each distinct row once.
+an exact cycle and repeats bit for bit, typically with a period of a few
+steps (README, "Library"). The map is a pure function of the bits of
+(b, B), and it overwrites all of its scratch at every step, so once
+s_{k+P} = s_k every later row, bids, bank balances, prices and allocation,
+repeats with period P. After each full block it stepped, the driver
+therefore looks for the state after the block among the block's rows, bit
+for bit (``_cycle``). When it finds it, it steps no more (``_repeat``): it
+tiles the cycle's P rows of the stepped block, with the cycle's stop
+deltas, once into one read-only buffer of a block plus P - 1 rows, and
+every later block of the trace is a TraceBlock of views of that buffer at
+the block's phase, with an iteration array of its own. Those blocks take
+no floor check, no stop-delta pass and no budget-drift read: each of their
+rows is a row of the cycle, checked and settled when it was stepped, so
+none of them can change a result. It does not repeat the cycle when a
+step of the cycle moves the stop quantity by less than price_tol: stepping
+on then stops the run within P steps. So a run that cycles steps at most
+the steps to the cycle's onset, P and one block, its later rows are the
+stepped ones bit for bit, and its trace holds the stepped rows, one block
+of the cycle and an iteration per row. The trace records the cycle as
+``DynamicsTrace.cycle``, for the diagnostics to evaluate each distinct row
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,38 +248,31 @@ def _check_spending(market: MarketSpec, B: np.ndarray, e: np.ndarray):
         )
 
 
-def _settle(trace: DynamicsTrace, steps: TraceBlock, now: np.ndarray, start: int, count: int,
-            before, record_every: int, done: bool):
-    """Block-wise bookkeeping of the steps start .. start + count - 1, whose
-    state the first count rows of the block `steps` hold and whose stop
-    quantities are the rows of `now`: fill in their iterations and stop
-    deltas, widen the budget drift by their bank balances, and add to the
-    trace the rows _keep keeps. The deltas are written row against row into
-    one fresh array, so the block is not copied to prepend `before`, the
-    stop quantity of the step before start, None at the first step of the
-    run. Returns a copy of the stop quantity of the last step."""
-    steps.iteration[:count] = np.arange(start, start + count)
-    rows = steps.take(slice(count))
+def _deltas(now: np.ndarray, before) -> np.ndarray:
+    """The stop delta of each step whose stop quantities are the rows of
+    `now`: the infinity-norm change from the row before, the first row's
+    from `before`, the stop quantity of the step before, which is None at a
+    run's first step and gives inf. before = now[-1] gives the deltas of a
+    cycle, the first step's taken from the last, as the cycle wraps."""
     diff = np.empty_like(now)
     np.subtract(now[1:], now[:-1], out=diff[1:])
     if before is None:
         diff[0] = np.inf
     else:
         np.subtract(now[0], before, out=diff[0])
-    steps.stop_delta[:count] = np.maximum.reduce(np.abs(diff, out=diff).reshape(count, -1), axis=1)
-    if rows.budgets_B is not None:
-        trace.track_budget_drift(rows.budgets_B)
-    _keep(trace, rows, count == len(steps), record_every, done)
-    return now[-1].copy()
+    return np.maximum.reduce(np.abs(diff, out=diff).reshape(len(now), -1), axis=1)
 
 
-def _keep(trace: DynamicsTrace, rows: TraceBlock, full: bool, record_every: int, done: bool):
-    """Add to the trace every record_every-th row of `rows` and, when the run
-    is done, the last. When `full`, every row of the arrays `rows` views is
-    a step of the run, and a block whose rows are all kept joins the trace
-    as it is; otherwise its kept rows are copied out, so that the trace
-    holds no unused rows."""
-    keep = rows.iteration % record_every == 0
+def _keep(trace: DynamicsTrace, rows: TraceBlock, start: int, full: bool, record_every: int,
+          done: bool):
+    """Add to the trace the rows of `rows`, the steps start, start + 1, ...,
+    whose iteration is a multiple of record_every and, when the run is done,
+    the last. When `full`, every row of the arrays `rows` views is a step of
+    the run, and a block whose rows are all kept joins the trace as it is;
+    otherwise its kept rows are copied out, so that the trace holds no
+    unused rows."""
+    keep = np.zeros(len(rows), bool)
+    keep[-start % record_every::record_every] = True
     keep[-1] |= done
     if full and keep.all():
         trace.blocks.append(rows)
@@ -291,77 +280,61 @@ def _keep(trace: DynamicsTrace, rows: TraceBlock, full: bool, record_every: int,
         trace.blocks.append(rows.take(keep))
 
 
-def _moves(stops: np.ndarray) -> np.ndarray:
-    """The stop delta of each step of a cycle whose stop quantities are
-    `stops`, the first step's taken from the last, as the cycle wraps."""
-    return np.maximum.reduce(
-        np.abs(stops - np.roll(stops, 1, axis=0)).reshape(len(stops), -1), axis=1
-    )
-
-
-def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, start: int, tol: float):
-    """The exact cycle a run has entered, found from the full block `steps`
-    of the steps start, start + 1, ..., its stop quantities `stops` and the
-    state after it, in row 0 of `following`. When that state repeats a row
-    of the block bit for bit, the nearest such row k starts a cycle of
-    P = len(steps) - k steps: the map is a pure function of the state's
-    bits, so every later row repeats row k + (i mod P). Returns the first
-    step of the cycle, start + k, and copies of its P rows of bids, bank
-    balances, prices and, in an exchange market, allocations. Returns None
-    when no row matches, or when a step of the cycle, counting the wrap from
-    its last row back to its first, moves the stop quantity by less than
-    tol: stepping on then stops the run within P steps."""
-    bits, exchange = np.uint64, steps.budgets_B is not None
+def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: float):
+    """The exact cycle a run has entered, found from the full block `steps`,
+    its stop quantities `stops` and the state after it, in row 0 of
+    `following`. When that state repeats a row of the block bit for bit, the
+    nearest such row k starts a cycle of P = len(steps) - k steps: the map
+    is a pure function of the state's bits, so every later row repeats row
+    k + (i mod P). Returns k and the stop deltas of the cycle's P steps,
+    counting the wrap from its last row back to its first; it copies no row.
+    Returns None when no row matches, or when a step of the cycle moves the
+    stop quantity by less than tol: stepping on then stops the run within P
+    steps."""
+    bits = np.uint64
     state = steps.bids.reshape(len(steps), -1).view(bits)
     new = following.bids[0].reshape(-1).view(bits)
     near = np.flatnonzero(state[:, 0] == new[0])  # a repeat has the same first bid
     same = (state[near] == new).all(axis=1)
-    if exchange:
+    if steps.budgets_B is not None:
         same &= (steps.budgets_B[near].view(bits) == following.budgets_B[0].view(bits)).all(axis=1)
     match = near[same]
     if not match.size:
         return None
     k = int(match[-1])
-    q = stops[k:]
-    if not np.all(_moves(q) >= tol):
-        return None
-    # a Fisher market has no bank balances, and its stop quantities are the prices
-    B, x = (steps.budgets_B[k:].copy(), q.copy()) if exchange else (None, None)
-    return start + k, (steps.bids[k:].copy(), B, steps.prices[k:].copy(), x)
+    moves = _deltas(stops[k:], stops[-1])
+    return (k, moves) if np.all(moves >= tol) else None
 
 
-def _repeat(trace: DynamicsTrace, first: int, rows, t: int, end: int, size: int,
-            record_every: int, laziness):
-    """Add to the trace the steps t .. end - 1, in blocks of at most `size`,
-    of a run that from step `first` on repeats the P rows `rows` (bids, bank
-    balances, prices, allocations) that _cycle returned: step s is row
-    (s - first) mod P. The rows and their stop deltas are tiled once into a
-    read-only buffer of one block plus P - 1 rows; each block views it from
-    the phase of its first step and has an iteration array of its own, and
-    _keep copies out the kept rows of a block whose rows are not all kept.
-    Nothing is stepped, floor-checked or given stop deltas: every row is a
-    row of the cycle, checked and settled when it was stepped. Records the
-    cycle on the trace."""
-    bids, B, prices, x = rows
-    period = len(bids)
+def _repeat(trace: DynamicsTrace, steps: TraceBlock, k: int, moves: np.ndarray, start: int,
+            end: int, size: int, record_every: int):
+    """Add to the trace the steps after the full block `steps` of the steps
+    start, start + 1, ... up to end - 1, in blocks of at most `size`, for a
+    run that repeats the block's rows from row k, step first = start + k,
+    on with the stop deltas `moves` that _cycle returned: step s is row
+    k + (s - first) mod P. The cycle's rows and deltas are tiled once from
+    the block into a read-only buffer of one block plus P - 1 rows; each
+    block views it from the phase of its first step and has an iteration
+    array of its own, and _keep copies out the kept rows of a block whose
+    rows are not all kept. Nothing is stepped, floor-checked, given stop
+    deltas or read for the budget drift: every row is a row of the cycle,
+    checked and settled when it was stepped. Records the cycle on the
+    trace."""
+    first, period, t = start + k, len(moves), start + len(steps)
     tile = np.arange(min(size, end - t) + period - 1) % period
-    tiled = [None if a is None else np.take(a, tile, 0)
-             for a in (prices, bids, _moves(prices if x is None else x), B)]
-    for a in tiled:
-        if a is not None:
-            a.flags.writeable = False
+    cycle = replace(steps.take(slice(k, None)), stop_delta=moves).take(tile)
+    B = cycle.budgets_B
     trace.cycle = first, period
     while t < end:
         n = min(size, end - t)
         phase = (t - first) % period
+        rows = slice(phase, phase + n)
         iteration = np.arange(t, t + n, dtype=float)
         iteration.flags.writeable = False
-        block = TraceBlock(iteration, *(None if a is None else a[phase:phase + n] for a in tiled),
-                           laziness)
-        if block.budgets_B is not None:  # the drift covers every step, as _settle's does
-            trace.track_budget_drift(block.budgets_B)
+        block = TraceBlock(iteration, cycle.prices[rows], cycle.bids[rows], cycle.stop_delta[rows],
+                           None if B is None else B[rows], cycle.laziness)
+        _keep(trace, block, t, True, record_every, t + n == end)
         t += n
-        _keep(trace, block, True, record_every, t == end)
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
@@ -376,15 +349,15 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     row k of the block and writes its prices there and the next state into
     row k + 1; the last step writes it into row 0 of the following block, so
     no state is copied between blocks. The allocations go to one scratch
-    block reused for the whole run, and the stop test, when price_tol > 0,
-    carries the stop quantity of a block's last step into the next block
-    as a copy. The steps run with numpy's floating-point warnings off, and
-    the next bids of a block's steps are checked against BID_FLOOR once the
-    block is done: the run raises at the same iteration as a step-by-step
-    loop, and nothing that follows the crossing is kept. Once a full block
-    shows the exact cycle the run has entered, and no step of the cycle
-    stops the run, the rest of the run is views of the cycle's rows
-    (_repeat; see the module docstring)."""
+    block reused for the whole run, so the stop quantity of a block's last
+    step goes on into the next block as a copy, for the stop test and the
+    stop delta of its first step. The steps run with numpy's floating-point
+    warnings off, and the next bids of a block's steps are checked against
+    BID_FLOOR once the block is done: the run raises at the same iteration
+    as a step-by-step loop, and nothing that follows the crossing is kept.
+    Once a full block shows the exact cycle the run has entered, and no
+    step of the cycle stops the run, the rest of the run is views of the
+    cycle's rows (_repeat; see the module docstring)."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
@@ -401,7 +374,7 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     steps.bids[0] = bids
     if exchange:
         steps.budgets_B[0] = B
-    prev = before = None
+    prev = None
     with np.errstate(all="ignore"):
         while True:
             start = t
@@ -421,15 +394,19 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
             _check_floor(steps.bids[1:count], start)
             _check_floor(bid_rows[count][None], t - 1)
             done = delta < tol or t == end
-            stops = allocation if exchange else steps.prices
-            # the next block overwrites the scratch, so the stop test goes on from a copy
-            prev = before = _settle(trace, steps, stops[:count], start, count, before,
-                                    record_every, done)
+            stops = (allocation if exchange else steps.prices)[:count]
+            steps.iteration[:count] = np.arange(start, t)
+            steps.stop_delta[:count] = _deltas(stops, prev)
+            prev = stops[-1].copy()  # the next block overwrites the scratch
+            rows = steps.take(slice(count))
+            if exchange:
+                trace.track_budget_drift(rows.budgets_B)
+            _keep(trace, rows, start, count == len(steps), record_every, done)
             if done:
                 break
-            cycle = _cycle(steps, following, stops[:count], start, tol)
+            cycle = _cycle(steps, following, stops, tol)
             if cycle is not None:  # no step of the cycle stops the run: repeat it, don't step it
-                _repeat(trace, *cycle, t, end, size, record_every, market.laziness)
+                _repeat(trace, steps, *cycle, start, end, size, record_every)
                 t = end
                 break
             steps = following

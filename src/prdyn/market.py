@@ -298,9 +298,7 @@ class DynamicsTrace:
 
     def is_consecutive(self) -> bool:
         """Whether the rows are the iterations 0, 1, 2, ... with none missing."""
-        start = 0
-        for block in self.blocks:
-            if not np.array_equal(block.iteration, np.arange(start, start + len(block))):
-                return False
-            start += len(block)
-        return start > 0
+        if not self.blocks:
+            return False
+        iterations = np.concatenate([block.iteration for block in self.blocks])
+        return np.array_equal(iterations, np.arange(len(iterations)))

@@ -304,6 +304,17 @@ class TestRun:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
 
+    @pytest.mark.parametrize("batch", ["0", "-5"])
+    def test_batch_below_one_is_error(self, tmp_path, capsys, batch):
+        # a batch of no seeds is no plain run either
+        mfile = tmp_path / "m.json"
+        main(["gen", "3", "4", "ces", "--out", str(mfile)])
+        out = tmp_path / "o"
+        assert main(["run", "--market", str(mfile), "--batch", batch, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "InvalidRunControl", "message": f"batch must be >= 1, got {batch}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [("run", "--price-tol"), ("solve", "--tol")])
     def test_nan_tolerance_is_error(self, tmp_path, capsys, command, flag):
         # no change is below nan, so a run would take every step and the
@@ -397,6 +408,16 @@ class TestRun:
             sub = out / f"seed-{seed:04d}"
             assert (sub / "market.json").exists()
             assert (sub / "summary.json").exists() == (seed in (11, 13))
+
+    def test_batch_os_error_exits_two_after_every_seed(self, tmp_path, capsys):
+        # seed 0 cannot write its trace; seed 1 still runs
+        mfile = tmp_path / "m.json"
+        main(["gen", "2", "3", "ces", "--seed", "0", "--out", str(mfile)])
+        out = tmp_path / "batch"
+        (out / "seed-0000" / "trace.csv").mkdir(parents=True)
+        assert main(["run", "--market", str(mfile), "--batch", "2", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert (out / "seed-0001" / "trace.csv").is_file()
 
 
 def _set_cell(row: int, col: int, value: str):
@@ -699,3 +720,44 @@ class TestConsoleEntry:
         frozen = cli.gc.get_freeze_count()
         assert main(["gen", "2", "2", "ces", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 0
         assert cli.gc.get_freeze_count() == frozen
+
+
+def _os_error_cases():
+    """(argv, error) of commands whose input or output path the OS refuses;
+    "{tmp}" stands for a directory holding the market m.json and its
+    full-dump trace.csv."""
+    market, trace = ["--market", "{tmp}/m.json"], ["--trace", "{tmp}/trace.csv"]
+    return [
+        pytest.param(["run", "--market", "{tmp}/nope.json"], "FileNotFoundError",
+                     id="run-missing-market"),
+        pytest.param(["verify", *market, "--trace", "{tmp}/nope.csv"], "FileNotFoundError",
+                     id="verify-missing-trace"),
+        pytest.param(["verify", *market, "--trace", "{tmp}"], "IsADirectoryError",
+                     id="verify-trace-is-a-directory"),
+        pytest.param(["run", *market, "--out", "{tmp}/m.json"], "FileExistsError",
+                     id="run-out-is-a-file"),
+        pytest.param(["run", *market, "--batch", "2", "--out", "{tmp}/m.json"],
+                     "NotADirectoryError", id="batch-out-is-a-file"),
+        pytest.param(["verify", *market, *trace, "--out", "{tmp}/trace.csv"], "FileExistsError",
+                     id="verify-out-is-a-file"),
+        pytest.param(["gen", "3", "4", "ces", "--out", "{tmp}/missing/m.json"],
+                     "FileNotFoundError", id="gen-out-in-a-missing-directory"),
+    ]
+
+
+class TestOSErrors:
+    """An input or output path the OS refuses is a structured error, exit 2,
+    with the JSON record of every other one on stderr; exit 1 stays a failed
+    run or check."""
+
+    @pytest.mark.parametrize("argv, error", _os_error_cases())
+    def test_os_error_exits_two_with_a_json_record(self, tmp_path, capsys, argv, error):
+        main(["gen", "3", "4", "ces", "--out", str(tmp_path / "m.json")])
+        main(["run", "--market", str(tmp_path / "m.json"), "--max-iters", "5", "--full-dump",
+              "--out", str(tmp_path / "run")])
+        (tmp_path / "run" / "trace.csv").rename(tmp_path / "trace.csv")
+        capsys.readouterr()
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error
+        assert str(tmp_path) in record["message"]

@@ -114,6 +114,19 @@ class TestPotentialDecrease:
         with pytest.raises(NonConsecutiveTrace):
             check_potential_decrease(trace, eq)
 
+    def test_repeated_block_rejected(self, rng):
+        # each block alone starts at iteration 0 and counts up by one
+        market = random_fisher_market("ces", 3, 4, rng)
+        eq = solve_fisher_eq(market)
+        block = run_fisher(market, default_initial_bids(market), StopRule(50)).blocks[0]
+        twice = DynamicsTrace(market.mode, [block, block])
+        assert not twice.is_consecutive()
+        for check in (lambda: check_potential_decrease(twice, eq),
+                      lambda: check_avg_price_rate(twice, eq, block.bids[0]),
+                      lambda: diagnose_fisher(twice, market, eq)):
+            with pytest.raises(NonConsecutiveTrace):
+                check()
+
 
 class TestAvgPriceRate:
     def test_at_equilibrium_lhs_zero(self, rng):

@@ -528,12 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PRD_LOG_LEVEL", "warn").upper().replace("WARN", "WARNING"),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        # logging knows WARN and WARNING; basicConfig checks no level once the
+        # root logger has a handler, so the name is checked here
+        name = os.environ.get("PRD_LOG_LEVEL", "warn").upper()
+        level = logging.getLevelName(name)
+        if not isinstance(level, int):
+            raise ParseError(f"PRD_LOG_LEVEL {name!r} is not DEBUG, INFO, WARN, ERROR or CRITICAL")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (PrdynError, OSError) as exc:  # a missing or unwritable file is no failed check
         record = {"error": type(exc).__name__, "message": str(exc)}

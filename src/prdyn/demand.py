@@ -1,21 +1,26 @@
 """Demand oracles for all utility families, and the corresponding-price map.
 
-For every family the interior KKT condition reads k_j x_j^{r_j - 1} = lam p_j
-(Cobb-Douglas k = a, r = 0; CES k = a, r = rho, up to a positive factor on
-lam; separable power k = a * rho, r = rho), so x_j = exp(beta_j (t + log p_j
-- log k_j)) with beta = 1 / (r - 1) < 0 and t = log lam. One kernel solves the
-budget constraint for t by Newton in log lam over all buyers at once:
-log(p . x(t)) - log e is convex and strictly decreasing in t, so Newton
-converges from any start, and it is exact after one step on a row with a
-constant exponent. demand_jacobian differentiates the same rows in log p for
-the equilibrium oracle. Demand shares no code with the dynamics; the
-corresponding price q = e * s / x uses its share kernel.
+Demand reads a buyer through its share row (c, r) (utilities.share_row, and
+MarketSpec.share_rows for a market), the same input as the PR map: as
+x_j grad_j u(x) is proportional to c_j x_j^{r_j}, the interior KKT condition
+reads k_j x_j^{r_j - 1} = lam p_j with k = c, up to a positive factor on lam,
+so x_j = exp(beta_j (t + log p_j - log k_j)) with beta = 1 / (r - 1) < 0 and
+t = log lam. One kernel solves the budget constraint for t by Newton in
+log lam over all buyers at once: log(p . x(t)) - log e is convex and
+strictly decreasing in t, so Newton converges from any start, and it is
+exact after one step on a row with a constant exponent. demand_jacobian
+differentiates the same rows in log p for the equilibrium oracle. Demand
+shares no iteration with the dynamics; the corresponding price q = e * s / x
+uses its share kernel. As both read the share rows, the checks on each
+family's row are made against the family's own gradient, eval_gradient:
+test_demand's TestFamilyGradient::test_demand_meets_kkt and
+TestCorrespondingPrice::test_round_trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .errors import (
     PriceNotDominated,
     ToleranceNotReached,
 )
-from .utilities import CES, CobbDouglas, UtilitySpec, bid_shares, eval_gradient
+from .utilities import UtilitySpec, bid_shares, eval_gradient, share_row
 
 _MAX_NEWTON = 100
 
@@ -46,19 +51,11 @@ def _check_price(p) -> np.ndarray:
     return p
 
 
-def _kkt_row(u: UtilitySpec) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(u, CobbDouglas):
-        return np.log(u.weights), np.full_like(u.weights, -1.0)
-    if isinstance(u, CES):
-        return np.log(u.weights), np.full_like(u.weights, 1.0 / (u.rho - 1.0))
-    return np.log(u.weights * u.exponents), 1.0 / (u.exponents - 1.0)
-
-
-def kkt_rows(utilities: Sequence[UtilitySpec]) -> Tuple[np.ndarray, np.ndarray]:
-    """n x m arrays (log k, beta); row i gives buyer i's demand
-    x_j = exp(beta_j (t + log p_j - log k_j)) at multiplier t = log lam."""
-    log_k, beta = zip(*(_kkt_row(u) for u in utilities))
-    return np.stack(log_k), np.stack(beta)
+def kkt_rows(C: np.ndarray, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrays (log k, beta) of the shape of the share rows (C, R): row i
+    gives buyer i's demand x_j = exp(beta_j (t + log p_j - log k_j)) at
+    multiplier t = log lam."""
+    return np.log(C), 1.0 / (R - 1.0)
 
 
 def demand_rows(
@@ -112,7 +109,8 @@ def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
     e = float(e)
     if e <= 0:
         raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
-    x = demand_rows(kkt_rows([u]), p, np.array([e]), tol)[0]
+    C, R = share_row(u)
+    x = demand_rows(kkt_rows(C[None], R[None]), p, np.array([e]), tol)[0]
     return DemandResult(x=x, spent=float(p @ x), lam=float(eval_gradient(u, x)[0] / p[0]))
 
 

@@ -12,17 +12,17 @@ budget, so B' = e' = budgets exactly.
 the ownership matrix or the budgets) once and returns the one block
 stepper: a loop that takes the PR map, and when the stop rule has a
 positive price_tol the stop test, once per row of the sequences it is
-given, writing with ``out=`` ufuncs into arrays its caller owns, and
-allocating nothing. ``pr_step`` and ``lazy_step`` call it on one row. The
-run driver ``_run`` calls it once per preallocated block of at most
-``BLOCK_ENTRIES`` bids: each step reads the state from one row of the
-block and writes its prices into that row and the next state into the row
-after it (the first row of the following block, after a block's last
-row). The rest is settled once per block from the stacked state: the
-BID_FLOOR check of the next bids, the stop delta of every step, the budget
-drift over the bank balances of every step, recorded or not, and which
-rows the trace keeps. Every value is bit-identical to evaluating it step
-by step.
+given, writing with ``out=`` ufuncs into arrays its caller owns,
+allocating nothing and returning the number of steps it took. ``pr_step``
+and ``lazy_step`` call it on one row. The run driver ``_run`` calls it once
+per preallocated block of at most ``BLOCK_ENTRIES`` bids: each step reads
+the state from one row of the block and writes its prices into that row
+and the next state into the row after it (the first row of the following
+block, after a block's last row). The rest is settled once per block from
+the stacked state: the BID_FLOOR check of the next bids, the stop delta of
+every step, on which the run stops, the budget drift over the bank
+balances of every step, recorded or not, and which rows the trace keeps.
+Every value is bit-identical to evaluating it step by step.
 
 In float arithmetic the dynamics does more than converge, as the paper
 shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
@@ -102,7 +102,7 @@ def _check_bids(market: MarketSpec, bids: np.ndarray):
 
 def _pr_map(market: MarketSpec):
     """The one PR map of market, as a block stepper:
-    steps(bs, Bs, ps, xs, Bns, bns, tol, prev) -> (count, delta) takes one
+    steps(bs, Bs, ps, xs, Bns, bns, tol, prev) -> count takes one
     step per zipped row of its six sequences, in order, until the shortest
     runs out. From the state (b, B) of a row it writes the prices
     p = sum_i b, the allocation x = b / p and the next state B_next and
@@ -115,12 +115,13 @@ def _pr_map(market: MarketSpec):
     infinity-norm change of the stop quantity (x in an exchange market, p
     in a Fisher market) from prev, that of the step before, which is None
     before a run's first step; the stepper stops after the first step whose
-    delta is below tol. Returns the number of steps taken and the last
-    delta, inf when it computed none. The stepper allocates nothing: its
-    share, income, spending and stop-test scratch belongs to it. It does not
-    check the floor; see _check_floor. Its reductions run over axis -2 (the
-    price sum) and -1 (the share normaliser): the same sums on an (n, m)
-    state, and the right axes for a stack of them."""
+    delta is below tol, not at the end of the block, which would step up to
+    a block past the stop. Returns the number of steps taken; the caller
+    records the deltas themselves, with _deltas. The stepper allocates
+    nothing: its share, income, spending and stop-test scratch belongs to
+    it. It does not check the floor; see _check_floor. Its reductions run
+    over axis -2 (the price sum) and -1 (the share normaliser): the same
+    sums on an (n, m) state, and the right axes for a stack of them."""
     C, R = market.share_rows
     n, m = C.shape
     t, s = np.empty((n, m)), np.empty((n, 1))
@@ -136,7 +137,7 @@ def _pr_map(market: MarketSpec):
     def steps(bs, Bs, ps, xs, Bns, bns, tol, prev):
         add, divide, multiply, power, matmul = np.add, np.divide, np.multiply, np.power, np.matmul
         total, subtract, absolute, largest = add.reduce, np.subtract, np.absolute, np.maximum.reduce
-        count, delta = 0, float("inf")
+        count = 0
         for b, B, p, x, B_next, b_next in zip(bs, Bs, ps, xs, Bns, bns):
             count += 1
             total(b, -2, None, p)
@@ -155,11 +156,10 @@ def _pr_map(market: MarketSpec):
                 now = x if exchange else p
                 if prev is not None:
                     subtract(now, prev, diff)
-                    delta = float(largest(absolute(diff, diff), None))
-                    if delta < tol:
+                    if largest(absolute(diff, diff), None) < tol:
                         break
                 prev = now
-        return count, delta
+        return count
 
     return steps
 
@@ -348,13 +348,21 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     row views, built once per block. Step k of a block reads the state in
     row k of the block and writes its prices there and the next state into
     row k + 1; the last step writes it into row 0 of the following block, so
-    no state is copied between blocks. The allocations go to one scratch
-    block reused for the whole run, so the stop quantity of a block's last
-    step goes on into the next block as a copy, for the stop test and the
-    stop delta of its first step. The steps run with numpy's floating-point
-    warnings off, and the next bids of a block's steps are checked against
-    BID_FLOOR once the block is done: the run raises at the same iteration
-    as a step-by-step loop, and nothing that follows the crossing is kept.
+    no state is copied between blocks. A block with a row of its own for
+    the next state would hold that row in the trace too, as a kept block
+    joins it as it is: where a block is one row (n * m > BLOCK_ENTRIES / 2,
+    200 x 200 for one), that would double the bids the trace holds. The
+    stepper returns only the number of steps it took; _deltas then computes
+    the block's stop deltas into its stop_delta, with the stepper's
+    subtract, abs and max, and the run stops on the last one, so `done`,
+    the stop reason and the trace's stop deltas cannot disagree. The
+    allocations go to one scratch block reused for the whole run, so the
+    stop quantity of a block's last step goes on into the next block as a
+    copy, for the stop test and the stop delta of its first step. The steps
+    run with numpy's floating-point warnings off, and the next bids of a
+    block's steps are checked against BID_FLOOR once the block is done: the
+    run raises at the same iteration as a step-by-step loop, and nothing
+    that follows the crossing is kept.
     Once a full block shows the exact cycle the run has entered, and no
     step of the cycle stops the run, the rest of the run is views of the
     cycle's rows (_repeat; see the module docstring)."""
@@ -388,15 +396,16 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                 balance_rows.append(following.budgets_B[0])
             else:  # the Fisher map reads no bank balances
                 balance_rows = [None] * len(bid_rows)
-            count, delta = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
-                                     balance_rows[1:], bid_rows[1:], tol, prev)
+            count = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
+                              balance_rows[1:], bid_rows[1:], tol, prev)
             t = start + count
             _check_floor(steps.bids[1:count], start)
             _check_floor(bid_rows[count][None], t - 1)
-            done = delta < tol or t == end
             stops = (allocation if exchange else steps.prices)[:count]
             steps.iteration[:count] = np.arange(start, t)
             steps.stop_delta[:count] = _deltas(stops, prev)
+            stopped = steps.stop_delta[count - 1] < tol
+            done = stopped or t == end
             prev = stops[-1].copy()  # the next block overwrites the scratch
             rows = steps.take(slice(count))
             if exchange:
@@ -411,7 +420,7 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                 break
             steps = following
     trace.n_steps = t
-    trace.stop_reason = "price_tol" if delta < tol else "max_iters"
+    trace.stop_reason = "price_tol" if stopped else "max_iters"
     return trace
 
 

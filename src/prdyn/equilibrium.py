@@ -1,14 +1,16 @@
 """Independent equilibrium oracle for both market modes.
 
-The oracle deliberately shares no machinery with the proportional-response
-iteration: it solves z(p) = 1 (z = aggregate demand at unit supply) by
-guarded Newton steps in log p, which only need the demand kernel and its
-Jacobian in log p (demand.demand_jacobian); each demand call solves every
-buyer's budget multiplier at once by Newton in log lam. The iteration stops
-with converged=False when a step would leave the prices or the demand
-non-finite or zero, or when its line search stalls; a result is converged
-only when its residuals are finite, too. It reads the PR map's share rows
-only in the KKT residual.
+The oracle shares no iteration with the proportional-response map: it
+solves z(p) = 1 (z = aggregate demand at unit supply) by guarded Newton
+steps in log p, which only need the demand kernel and its Jacobian in log p
+(demand.demand_jacobian); each demand call solves every buyer's budget
+multiplier at once by Newton in log lam. Its one input from the market is
+the one the map reads, the share rows: the demand kernel's rows are
+kkt_rows(*market.share_rows), and the KKT residual is the corresponding
+price of the share kernel. The iteration stops with converged=False when a
+step would leave the prices or the demand non-finite or zero, or when its
+line search stalls; a result is converged only when its residuals are
+finite, too.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ def _newton(market: MarketSpec, total: float, tol: float, max_iters: int) -> Equ
     accurate well beyond tol. Stops with converged=False at the last valid
     iterate when no step length gives finite, positive prices and demand that
     lower the residual. A tol that is not >= 0, such as NaN, which no
-    residual meets, raises InvalidRunControl."""
+    residual meets, or a max_iters below 1 raises InvalidRunControl."""
     if not tol >= 0:
         raise InvalidRunControl(f"tol must be nonnegative, got {tol}")
-    rows = kkt_rows(market.utilities)
+    if max_iters < 1:
+        raise InvalidRunControl(f"max_iters must be >= 1, got {max_iters}")
+    rows = kkt_rows(*market.share_rows)
     exchange = market.mode is Mode.EXCHANGE
 
     def at(p):
@@ -168,7 +172,7 @@ class EquilibriumReport:
 
 def _verify(market: MarketSpec, x, p: np.ndarray, tol: float) -> EquilibriumReport:
     x = np.asarray(x, dtype=float)
-    xd = _aggregate_demand(kkt_rows(market.utilities), market, _check_price(p))
+    xd = _aggregate_demand(kkt_rows(*market.share_rows), market, _check_price(p))
     col = x.sum(axis=0)
     demand_residual = float(np.max(np.abs(x - xd)))
     oversell = float(max(np.max(col - 1.0), 0.0))

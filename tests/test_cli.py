@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import re
 import tempfile
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prdyn import Mode, cli
+from prdyn import equilibrium as eqmod
 from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
 )
@@ -241,6 +243,24 @@ class TestSolve:
         assert doc["residuals"]["clearing"] <= 1e-10
         assert doc["residuals"]["optimality_gap"] is None
 
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    def test_converged_equilibrium_exits_zero(self, tmp_path, mode):
+        mfile, out = tmp_path / "m.json", tmp_path / "sol"
+        main(["gen", "4", "5", "ces", "--mode", mode, "--seed", "3", "--out", str(mfile)])
+        assert main(["solve", "--market", str(mfile), "--out", str(out)]) == 0
+        market = load_market(mfile)
+        solve = eqmod.solve_fisher_eq if mode == "fisher" else eqmod.solve_exchange_eq
+        eq = solve(market)
+        assert eq.converged
+        assert json.loads((out / "equilibrium.json").read_text()) == {
+            "converged": True,
+            "iterations": eq.iterations,
+            "p_star": list(eq.p_star),
+            "x_star": [list(row) for row in eq.x_star],
+            "residuals": {"clearing": eq.clearing, "optimality_gap": eq.optimality_gap,
+                          "budget_gap": eq.budget_gap},
+        }
+
 
 class TestRun:
     def test_cobb_douglas_with_diagnostics(self, tmp_path):
@@ -296,13 +316,20 @@ class TestRun:
         assert diag["passed"]
         assert diag["budget_drift"] <= 1e-10
 
-    @pytest.mark.parametrize("flag", ["--max-iters", "--record-every"])
-    def test_run_control_below_one_is_error(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("run", "--max-iters", "0", id="--max-iters"),
+        pytest.param("run", "--record-every", "0", id="--record-every"),
+        pytest.param("solve", "--max-iters", "0", id="solve --max-iters 0"),
+        pytest.param("solve", "--max-iters", "-3", id="solve --max-iters -3"),
+    ])
+    def test_run_control_below_one_is_error(self, tmp_path, capsys, command, flag, value):
         mfile = tmp_path / "m.json"
         main(["gen", "2", "3", "ces", "--seed", "0", "--out", str(mfile)])
-        code = main(["run", "--market", str(mfile), flag, "0", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main([command, "--market", str(mfile), flag, value, "--out", str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
+        assert not (out / "equilibrium.json").exists()
 
     @pytest.mark.parametrize("batch", ["0", "-5"])
     def test_batch_below_one_is_error(self, tmp_path, capsys, batch):
@@ -720,6 +747,58 @@ class TestConsoleEntry:
         frozen = cli.gc.get_freeze_count()
         assert main(["gen", "2", "2", "ces", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 0
         assert cli.gc.get_freeze_count() == frozen
+
+
+class TestLogLevel:
+    """PRD_LOG_LEVEL names a logging level in any case. main checks the name
+    itself: logging.basicConfig ignores its level once the root logger has a
+    handler, as it has under pytest."""
+
+    @pytest.mark.parametrize("name, level", [
+        ("warning", logging.WARNING), ("WARN", logging.WARNING), ("Info", logging.INFO),
+        ("debug", logging.DEBUG), ("error", logging.ERROR), ("CRITICAL", logging.CRITICAL),
+    ])
+    def test_level_name_sets_that_level(self, tmp_path, monkeypatch, name, level):
+        monkeypatch.setenv("PRD_LOG_LEVEL", name)
+        levels = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        assert main(["gen", "2", "2", "ces", "--out", str(tmp_path / "m.json")]) == 0
+        assert levels == [level]
+
+    @pytest.mark.parametrize("name", ["bogus", "verbose", "WARNINGING", ""])
+    def test_unknown_name_is_a_json_error(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv("PRD_LOG_LEVEL", name)
+        out = tmp_path / "m.json"
+        assert main(["gen", "2", "2", "ces", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert f"PRD_LOG_LEVEL {name.upper()!r}" in record["message"]
+        assert not out.exists()
+
+
+def _short_rows_dump(tmp_path):
+    """read_trace of a full dump whose every row lacks its last field."""
+    mfile, out = tmp_path / "m.json", tmp_path / "run"
+    main(["gen", "3", "4", "ces", "--out", str(mfile)])
+    main(["run", "--market", str(mfile), "--max-iters", "5", "--full-dump", "--out", str(out)])
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    short = "".join(f"{line}\r\n" for line in [header, *(r.rsplit(",", 1)[0] for r in rows)])
+    (out / "trace.csv").write_text(short)
+    return read_trace(out / "trace.csv", load_market(mfile))
+
+
+@pytest.mark.parametrize("call, words", [
+    pytest.param(lambda tmp: generate_market(2, 3, "linear", seed=0),
+                 "unknown family 'linear'", id="gen-unknown-family"),
+    pytest.param(lambda tmp: generate_market(4, 3, "ces", seed=0, mode=Mode.EXCHANGE),
+                 "at least one good per agent (m >= n)", id="gen-exchange-fewer-goods"),
+    pytest.param(_short_rows_dump, "trace rows have 18 fields, the header 19",
+                 id="dump-rows-one-field-short"),
+])
+def test_malformed_cli_input_is_a_parse_error(tmp_path, call, words):
+    with pytest.raises(ParseError) as raised:
+        call(tmp_path)
+    assert words in str(raised.value)
 
 
 def _os_error_cases():

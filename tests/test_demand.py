@@ -53,6 +53,22 @@ class TestClosedForms:
             demand(u, [1.0, 1.0], 0.0)
 
 
+class TestFamilyGradient:
+    def test_demand_meets_kkt(self, rng):
+        """Demand reads each family through its share row; the family's own
+        closed-form gradient checks that row: the bundle spends the budget
+        and equalizes grad_j u(x) / p_j across the goods."""
+        for k in range(600):
+            m = int(rng.integers(1, 7))
+            u = random_utility(FAMILIES[k % 3], m, rng)
+            p = np.exp(rng.uniform(np.log(0.1), np.log(10.0), m))
+            e = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            x = demand(u, p, e).x
+            assert abs(p @ x - e) <= 1e-12 * e
+            per_dollar = eval_gradient(u, x) / p
+            assert np.ptp(per_dollar) <= 1e-12 * per_dollar.max()
+
+
 class TestSeparableNumeric:
     def test_symmetric_example(self):
         u = SeparablePower(weights=[1.0, 1.0], exponents=[0.5, 0.5])
@@ -204,7 +220,7 @@ def test_demand_jacobian_matches_central_differences(exchange, rng):
     families = [FAMILIES[i % 3] for i in range(4)]
     market = (random_exchange_market(families, 4, 5, rng) if exchange
               else random_fisher_market(families, 4, 5, rng))
-    rows = kkt_rows(market.utilities)
+    rows = kkt_rows(*market.share_rows)
     p = rng.uniform(0.5, 2.0, 5)
 
     def z(u):

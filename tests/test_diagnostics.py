@@ -34,6 +34,7 @@ from prdyn.errors import (
     ModeMismatch,
     NonConsecutiveTrace,
     NonPositiveEntry,
+    NonPositivePrice,
     ShapeMismatch,
 )
 from conftest import FAMILIES, cobb_douglas_2x2, random_fisher_market, random_utility
@@ -193,6 +194,15 @@ class TestLemmaGap:
                 continue
             e = float(rng.uniform(0.5, 2.0))
             assert lemma_gap(u, p, q, e) <= 1e-9
+
+    @pytest.mark.parametrize("p, q", [
+        ([1.0, 0.0], [1.0, 2.0]), ([1.0, -2.0], [1.0, 2.0]), ([1.0, 2.0], [0.0, 2.0]),
+        ([1.0, 2.0], [1.0, -0.5]),
+    ])
+    def test_nonpositive_price_rejected(self, p, q):
+        with pytest.raises(NonPositivePrice) as raised:
+            lemma_gap(CES([1.0, 2.0], 0.5), p, q, 1.0)
+        assert "strictly positive prices" in str(raised.value)
 
 
 class TestLemma33:

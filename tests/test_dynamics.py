@@ -331,9 +331,9 @@ def count_steps(monkeypatch) -> list:
         steps = _pr_map(market)
 
         def counted(*rows):
-            count, delta = steps(*rows)
+            count = steps(*rows)
             stepped[0] += count
-            return count, delta
+            return count
 
         return counted
 
@@ -601,3 +601,31 @@ def test_trace_memory_is_its_stacked_payload():
     assert T == 2000
     payload = 8 * T * (1 + m + n * m + n + 1)
     assert retained <= 1.25 * payload, retained / payload
+
+
+def _fisher_bids(cut):
+    market = mixed_market("fisher")
+    return run_fisher(market, default_initial_bids(market)[cut], StopRule(10))
+
+
+def _exchange_init(bids=slice(None), spend=slice(None)):
+    market = mixed_market("exchange")
+    init = default_initial_exchange(market)
+    return run_exchange(market, ExchangeState(init.budgets_B, init.spend_e[spend],
+                                              init.bids[bids]), StopRule(10))
+
+
+@pytest.mark.parametrize("run, words", [
+    pytest.param(lambda: _fisher_bids(np.s_[:, :-1]), "bids shape (12, 15), market 12x16",
+                 id="fisher-bids-too-few-goods"),
+    pytest.param(lambda: _fisher_bids(np.s_[:-1]), "bids shape (11, 16), market 12x16",
+                 id="fisher-bids-too-few-buyers"),
+    pytest.param(lambda: _exchange_init(bids=np.s_[:, :-1]), "bids shape (12, 15), market 12x16",
+                 id="exchange-bids"),
+    pytest.param(lambda: _exchange_init(spend=np.s_[:3]),
+                 "spend_e shape (3,), budgets_B shape (12,)", id="exchange-spend-e"),
+])
+def test_state_of_the_wrong_shape_is_refused(run, words):
+    with pytest.raises(ShapeMismatch) as raised:
+        run()
+    assert words in str(raised.value)

@@ -142,3 +142,49 @@ def test_fisher_must_not_carry_exchange_fields():
 def test_cobb_douglas_weights_normalized():
     u = CobbDouglas(weights=[2.0, 2.0])
     assert np.allclose(u.weights, [0.5, 0.5])
+
+
+def _spec(mode, n=2, m=2, utilities=None, **fields):
+    """A 2x2 Cobb-Douglas market of `mode` with `fields` in place of its own."""
+    if utilities is None:
+        utilities = (CobbDouglas([0.5, 0.5]),) * n
+    if mode is Mode.FISHER:
+        own = {"budgets": [1.0] * n}
+    else:
+        own = {"endowments": ((0,), (1,)), "laziness": [0.5] * n}
+    return MarketSpec(n_buyers=n, n_goods=m, utilities=utilities, mode=mode, **{**own, **fields})
+
+
+@pytest.mark.parametrize("make, error, words", [
+    pytest.param(lambda: _spec(Mode.FISHER, n=0, utilities=(), budgets=[]),
+                 UtilityParamInvalid, "at least one buyer and one good", id="no-buyers"),
+    pytest.param(lambda: _spec(Mode.FISHER, m=0, utilities=(CobbDouglas([1.0]),) * 2),
+                 UtilityParamInvalid, "at least one buyer and one good", id="no-goods"),
+    pytest.param(lambda: _spec(Mode.FISHER, utilities=(CobbDouglas([0.5, 0.5]),)),
+                 UtilityParamInvalid, "expected 2 utilities, got 1", id="too-few-utilities"),
+    pytest.param(lambda: _spec(Mode.FISHER,
+                               utilities=(CobbDouglas([0.5, 0.5]), CobbDouglas([1, 1, 1]))),
+                 UtilityParamInvalid, "buyer 1: utility covers 3 goods, market has 2",
+                 id="utility-over-wrong-goods"),
+    pytest.param(lambda: _spec(Mode.FISHER, budgets=None),
+                 NonPositiveBudget, "requires budgets", id="fisher-without-budgets"),
+    pytest.param(lambda: _spec(Mode.FISHER, budgets=[1.0, 1.0, 1.0]),
+                 NonPositiveBudget, "budgets shape (3,), expected (2,)", id="budgets-shape"),
+    pytest.param(lambda: _spec(Mode.EXCHANGE, budgets=[1.0, 1.0]),
+                 UtilityParamInvalid, "must not carry budgets", id="exchange-with-budgets"),
+    pytest.param(lambda: _spec(Mode.EXCHANGE, endowments=None),
+                 EndowmentNotPartition, "requires endowments and laziness",
+                 id="exchange-without-endowments"),
+    pytest.param(lambda: _spec(Mode.EXCHANGE, laziness=None),
+                 EndowmentNotPartition, "requires endowments and laziness",
+                 id="exchange-without-laziness"),
+    pytest.param(lambda: _spec(Mode.EXCHANGE, endowments=((0, 1),)),
+                 EndowmentNotPartition, "expected 2 endowment sets, got 1",
+                 id="endowment-set-count"),
+    pytest.param(lambda: _spec(Mode.EXCHANGE, laziness=[0.5, 0.5, 0.5]),
+                 LazinessOutOfRange, "laziness shape (3,), expected (2,)", id="laziness-shape"),
+])
+def test_malformed_market_rejected(make, error, words):
+    with pytest.raises(error) as raised:
+        validate_market(make())
+    assert words in str(raised.value)

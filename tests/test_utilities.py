@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prdyn import CES, CobbDouglas, SeparablePower, bid_shares, eval_gradient, eval_utility
-from prdyn.errors import NonPositiveBundle
+from prdyn.errors import NonPositiveBundle, UtilityParamInvalid
 from conftest import FAMILIES, random_utility
 
 
@@ -123,3 +123,27 @@ class TestBidShares:
             else:
                 scaled = SeparablePower(weights=c * u.weights, exponents=u.exponents)
             assert np.allclose(bid_shares(scaled, x), s, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    pytest.param(lambda: SeparablePower([1.0, 2.0], [0.5]), UtilityParamInvalid,
+                 "exponents shape (1,) does not match weights shape (2,)",
+                 id="exponents-shape"),
+    pytest.param(lambda: SeparablePower([1.0, 2.0], [0.5, 0.0]), UtilityParamInvalid,
+                 "exponents must lie in (0, 1)", id="exponent-zero"),
+    pytest.param(lambda: SeparablePower([1.0, 2.0], [1.0, 0.5]), UtilityParamInvalid,
+                 "exponents must lie in (0, 1)", id="exponent-one"),
+    pytest.param(lambda: SeparablePower([1.0, 2.0], [0.5, np.nan]), UtilityParamInvalid,
+                 "exponents must lie in (0, 1)", id="exponent-nan"),
+    pytest.param(lambda: eval_utility(CES([1.0, 2.0], 0.5), [1.0, 1.0, 1.0]), NonPositiveBundle,
+                 "bundle shape (3,) does not match 2 goods", id="utility-bundle-shape"),
+    pytest.param(lambda: eval_gradient(CobbDouglas([1.0, 2.0]), [[1.0, 1.0]]), NonPositiveBundle,
+                 "bundle shape (1, 2) does not match 2 goods", id="gradient-bundle-shape"),
+    pytest.param(lambda: bid_shares(SeparablePower([1.0, 2.0], [0.3, 0.6]), [1.0]),
+                 NonPositiveBundle, "bundle shape (1,) does not match 2 goods",
+                 id="shares-bundle-shape"),
+])
+def test_malformed_utility_input_rejected(call, error, words):
+    with pytest.raises(error) as raised:
+        call()
+    assert words in str(raised.value)

@@ -340,19 +340,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _solve(market: MarketSpec, **controls) -> eqmod.EquilibriumResult:
+    """The equilibrium oracle of market's mode."""
+    solve = eqmod.solve_fisher_eq if market.mode is Mode.FISHER else eqmod.solve_exchange_eq
+    return solve(market, **controls)
+
+
 def cmd_solve(args) -> int:
     market = load_market(args.market)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if market.mode is Mode.FISHER:
-        eq = eqmod.solve_fisher_eq(market, tol=args.tol, max_iters=args.max_iters)
-    else:
-        eq = eqmod.solve_exchange_eq(market, tol=args.tol, max_iters=args.max_iters)
+    eq = _solve(market, tol=args.tol, max_iters=args.max_iters)
     residuals = {
         "clearing": eq.clearing,
         "optimality_gap": eq.optimality_gap,
         "budget_gap": eq.budget_gap,
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # after the oracle, which can raise
     _write_json(
         {
             "converged": eq.converged,
@@ -375,8 +378,8 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace):
     """The diagnostics.json document of a consecutive trace, the same for a
     fresh run and for a replayed --full-dump trace, and the potential series
     it checked, one value per row."""
+    eq = _solve(market)
     if market.mode is Mode.FISHER:
-        eq = eqmod.solve_fisher_eq(market)
         report = diagnose_fisher(trace, market, eq)
         passed = report.passed
         doc = {
@@ -384,7 +387,6 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace):
             "final_price_error": float(np.max(np.abs(trace.records[-1].prices - eq.p_star))),
         }
     else:
-        eq = eqmod.solve_exchange_eq(market)
         transformed = eqmod.transform_exchange_equilibrium(market, eq)
         report = check_exchange_potential_decrease(trace, transformed, market.laziness)
         verify = eqmod.verify_exchange_equilibrium(
@@ -404,7 +406,6 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace):
 def _run_one(market: MarketSpec, args, out: Path) -> int:
     """One run of `market` under the `run` subcommand's flags, its artifacts
     written to `out`."""
-    out.mkdir(parents=True, exist_ok=True)
     stop = StopRule(max_iters=args.max_iters, price_tol=args.price_tol)
     if market.mode is Mode.FISHER:
         trace = run_fisher(market, default_initial_bids(market), stop, args.record_every)
@@ -415,6 +416,10 @@ def _run_one(market: MarketSpec, args, out: Path) -> int:
     if args.diagnostics:
         diag_doc, potential = _diagnostics_doc(market, trace)
         diag_passed = diag_doc["passed"]
+    # the directory is made after the run and its diagnostics, which can
+    # raise, so that a command that fails leaves none behind
+    out.mkdir(parents=True, exist_ok=True)
+    if args.diagnostics:
         _write_json(diag_doc, out / "diagnostics.json")
 
     final = trace.records[-1]
@@ -473,9 +478,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     market = load_market(args.market)
     trace = read_trace(args.trace, market)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     doc, _ = _diagnostics_doc(market, trace)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # after the diagnostics, which can raise
     _write_json(doc, out / "diagnostics.json")
     return 0 if doc["passed"] else 1
 

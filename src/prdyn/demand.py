@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BoundaryBundle,
     BudgetNotDominated,
+    InvalidRunControl,
     NonPositiveBudget,
     NonPositivePrice,
     PriceNotDominated,
@@ -104,11 +105,15 @@ def demand_jacobian(
 
 
 def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
-    """Utility-maximizing bundle under budget e at prices p."""
+    """Utility-maximizing bundle under budget e at prices p, spending e to
+    relative tolerance tol. A tol that is not >= 0, such as NaN, which no
+    spending meets, raises InvalidRunControl."""
     p = _check_price(p)
     e = float(e)
     if e <= 0:
         raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
+    if not tol >= 0:
+        raise InvalidRunControl(f"tol must be nonnegative, got {tol}")
     C, R = share_row(u)
     x = demand_rows(kkt_rows(C[None], R[None]), p, np.array([e]), tol)[0]
     return DemandResult(x=x, spent=float(p @ x), lam=float(eval_gradient(u, x)[0] / p[0]))

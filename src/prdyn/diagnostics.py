@@ -3,16 +3,12 @@
 All potentials are unnormalized KL divergences between positive measures
 (equilibrium spending / prices vs. the current iterate). Each series is one
 array expression over a trace's rows stacked along a leading time axis. A
-check walks the trace's stored blocks of at most ``BLOCK_ENTRIES`` bids, so
-beyond the trace it holds one block's derived arrays plus a few floats per
-row, whatever the trace length; the running mean of the prices carries its
-cumulative sum from block to block. A per-row series (the Fisher potential
-and price term, the Lemma 3.3 gaps, the exchange potential) depends on its
-row alone, and a row evaluates to the same bits alone or inside a block. So
-on a trace whose run driver found an exact cycle (``DynamicsTrace.cycle``)
-``_per_row`` evaluates the blocks up to the end of the cycle's first period
-only and gives every later row the value of its phase, bit for bit what
-evaluating it would give.
+check walks the trace's stored blocks, so beyond the trace it holds one
+block's derived arrays plus a few floats per row, whatever the trace
+length; the running mean of the prices carries its cumulative sum from
+block to block. A per-row series (the Fisher potential and price term, the
+Lemma 3.3 gaps, the exchange potential) depends on its row alone and is
+evaluated through ``DynamicsTrace.per_row``.
 The single-state functions (``kl_divergence``, ``fisher_potential``,
 ``exchange_potential``, ``lemma_33_check``) are one-row calls of the same
 kernels. Checks never mutate the trace.
@@ -21,7 +17,7 @@ kernels. Checks never mutate the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,7 +33,7 @@ from .errors import (
     NonPositivePrice,
     ShapeMismatch,
 )
-from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, TraceBlock
+from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode
 from .utilities import UtilitySpec, shares
 
 DEFAULT_SLACK = 1e-9
@@ -89,29 +85,6 @@ def _require_consecutive(trace: DynamicsTrace):
         raise NonConsecutiveTrace("diagnostics need every iteration recorded from t=0")
 
 
-def _blocks(trace: DynamicsTrace) -> Iterator[Tuple[slice, TraceBlock]]:
-    """Each stored block of the trace, with its slice of the rows."""
-    start = 0
-    for block in trace.blocks:
-        yield slice(start, start + len(block)), block
-        start += len(block)
-
-
-def _per_row(trace: DynamicsTrace, series) -> np.ndarray:
-    """series(block), an array of one value per row of a block, for every
-    row of a consecutive trace. On a trace that cycles from iteration onset
-    on with period P, the blocks after the one that holds row onset + P - 1
-    are not evaluated: row t takes the value of row onset + (t - onset) mod P."""
-    values = np.empty(len(trace.records))
-    for rows, block in _blocks(trace):
-        values[rows] = series(block)
-        if trace.cycle is not None and rows.stop >= sum(trace.cycle):
-            onset, period = trace.cycle
-            values[rows.stop:] = values[onset + (np.arange(rows.stop, len(values)) - onset) % period]
-            break
-    return values
-
-
 def _report(potentials: np.ndarray, excess: np.ndarray, slack: float) -> DiagnosticsReport:
     """Report a potential series whose step t violates its inequality by
     excess[t]; a NaN excess counts as a violation."""
@@ -129,8 +102,8 @@ def check_potential_decrease(
 ) -> DiagnosticsReport:
     """Per-step inequality KL(b*|b^{t+1}) <= KL(b*|b^t) - KL(p*|p^t)."""
     _require_consecutive(trace)
-    potentials = _per_row(trace, lambda block: _kl_rows(eq.b_star, block.bids))
-    price_terms = _per_row(trace, lambda block: _kl_rows(eq.p_star, block.prices))
+    potentials = trace.per_row(lambda block: _kl_rows(eq.b_star, block.bids))
+    price_terms = trace.per_row(lambda block: _kl_rows(eq.p_star, block.prices))
     excess = potentials[1:] - (potentials[:-1] - price_terms[:-1])
     return _report(potentials, excess, slack)
 
@@ -140,13 +113,14 @@ def _avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult, b0):
     consecutive trace."""
     kl0 = fisher_potential(eq.b_star, b0)
     lhs = np.empty(len(trace.records))
-    carried = 0.0  # sum of the prices before the block
-    for rows, block in _blocks(trace):
+    carried, done = 0.0, 0  # sum of the prices before the block, and their count
+    for block in trace.blocks:
+        start, done = done, done + len(block)
         prices = block.prices.copy()
         prices[0] += carried
         sums = np.cumsum(prices, axis=0)
         carried = sums[-1]
-        lhs[rows] = _kl_rows(eq.p_star, sums / np.arange(rows.start + 1, rows.stop + 1)[:, None])
+        lhs[start:done] = _kl_rows(eq.p_star, sums / np.arange(start + 1, done + 1)[:, None])
     T = np.arange(1, len(lhs) + 1)
     return T, lhs, kl0 / T
 
@@ -229,8 +203,8 @@ def check_exchange_potential_decrease(
         )
     _require_consecutive(trace)
     alpha = np.asarray(alpha, dtype=float)
-    potentials = _per_row(
-        trace, lambda block: _exchange_potentials(transformed, alpha, block.bids, block.spend_e)
+    potentials = trace.per_row(
+        lambda block: _exchange_potentials(transformed, alpha, block.bids, block.spend_e)
     )
     return _report(potentials, np.diff(potentials), slack)
 
@@ -248,7 +222,7 @@ def diagnose_fisher(
     report = check_potential_decrease(trace, eq, slack)  # requires a consecutive trace
     T, lhs, rhs = _avg_price_rate(trace, eq, trace.records[0].bids)
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
-    gaps = _per_row(trace, lambda block: _lemma_33_gaps(market, eq, block.allocation, 1e-8))
+    gaps = trace.per_row(lambda block: _lemma_33_gaps(market, eq, block.allocation, 1e-8))
     report.lemma_gap_min = float(gaps.min())
     rate_ok = bool(np.all(lhs <= rhs + slack))
     lemma_ok = bool(np.all(gaps <= slack))

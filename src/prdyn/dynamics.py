@@ -15,7 +15,7 @@ positive price_tol the stop test, once per row of the sequences it is
 given, writing with ``out=`` ufuncs into arrays its caller owns,
 allocating nothing and returning the number of steps it took. ``pr_step``
 and ``lazy_step`` call it on one row. The run driver ``_run`` calls it once
-per preallocated block of at most ``BLOCK_ENTRIES`` bids: each step reads
+per preallocated block of ``block_rows(market)`` steps: each step reads
 the state from one row of the block and writes its prices into that row
 and the next state into the row after it (the first row of the following
 block, after a block's last row). The rest is settled once per block from
@@ -27,26 +27,28 @@ Every value is bit-identical to evaluating it step by step.
 In float arithmetic the dynamics does more than converge, as the paper
 shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
 an exact cycle and repeats bit for bit, typically with a period of a few
-steps (README, "Library"). The map is a pure function of the bits of
-(b, B), and it overwrites all of its scratch at every step, so once
-s_{k+P} = s_k every later row, bids, bank balances, prices and allocation,
-repeats with period P. After each full block it stepped, the driver
-therefore looks for the state after the block among the block's rows, bit
-for bit (``_cycle``). When it finds it, it steps no more (``_repeat``): it
-tiles the cycle's P rows of the stepped block, with the cycle's stop
-deltas, once into one read-only buffer of a block plus P - 1 rows, and
-every later block of the trace is a TraceBlock of views of that buffer at
-the block's phase, with an iteration array of its own. Those blocks take
-no floor check, no stop-delta pass and no budget-drift read: each of their
-rows is a row of the cycle, checked and settled when it was stepped, so
-none of them can change a result. It does not repeat the cycle when a
-step of the cycle moves the stop quantity by less than price_tol: stepping
-on then stops the run within P steps. So a run that cycles steps at most
-the steps to the cycle's onset, P and one block, its later rows are the
-stepped ones bit for bit, and its trace holds the stepped rows, one block
-of the cycle and an iteration per row. The trace records the cycle as
-``DynamicsTrace.cycle``, for the diagnostics to evaluate each distinct row
-once.
+steps: the 15 markets of the benchmark's exchange-long pool (seed 90001)
+enter it at step 76-189 with period 1-3, and the 12 x 16 mixed Fisher
+market of tests/test_dynamics.py has period 6. The map is a pure function
+of the bits of (b, B), and it overwrites all of its scratch at every step,
+so once s_{k+P} = s_k every later row, bids, bank balances, prices and
+allocation, repeats with period P. After each full block it stepped, the
+driver therefore looks for the state after the block among the block's
+rows, bit for bit (``_cycle``). When it finds it, it steps no more
+(``_repeat``): the step after the block is P steps after the cycle's first,
+so it starts the cycle again, and the cycle's P rows of the stepped block,
+with the cycle's stop deltas, are tiled once into one read-only buffer of
+the whole cycles that fit in a block. Every later block of the trace is a
+TraceBlock of views of that buffer's first rows, with an iteration array of
+its own. Those blocks take no floor check, no stop-delta pass and no
+budget-drift read: each of their rows is a row of the cycle, checked and
+settled when it was stepped, so none of them can change a result. It does
+not repeat the cycle when a step of the cycle moves the stop quantity by
+less than price_tol: stepping on then stops the run within P steps. So a
+run that cycles steps at most the steps to the cycle's onset, P and one
+block, its later rows are the stepped ones bit for bit, and its trace holds
+the stepped rows, at most one block of the cycle and an iteration per row.
+The trace records the cycle as ``DynamicsTrace.cycle``.
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ from .errors import (
     UnderflowDetected,
 )
 from .market import (
-    BLOCK_ENTRIES,
     DynamicsTrace,
     ExchangeState,
     FisherState,
     MarketSpec,
     Mode,
     TraceBlock,
+    block_rows,
+    budget_drift,
 )
 
 # Bids this small are about to leave float range, and past them the
@@ -263,9 +266,9 @@ def _deltas(now: np.ndarray, before) -> np.ndarray:
     return np.maximum.reduce(np.abs(diff, out=diff).reshape(len(now), -1), axis=1)
 
 
-def _keep(trace: DynamicsTrace, rows: TraceBlock, start: int, full: bool, record_every: int,
+def _keep(blocks: list, rows: TraceBlock, start: int, full: bool, record_every: int,
           done: bool):
-    """Add to the trace the rows of `rows`, the steps start, start + 1, ...,
+    """Add to blocks the rows of `rows`, the steps start, start + 1, ...,
     whose iteration is a multiple of record_every and, when the run is done,
     the last. When `full`, every row of the arrays `rows` views is a step of
     the run, and a block whose rows are all kept joins the trace as it is;
@@ -275,9 +278,9 @@ def _keep(trace: DynamicsTrace, rows: TraceBlock, start: int, full: bool, record
     keep[-start % record_every::record_every] = True
     keep[-1] |= done
     if full and keep.all():
-        trace.blocks.append(rows)
+        blocks.append(rows)
     elif keep.any():
-        trace.blocks.append(rows.take(keep))
+        blocks.append(rows.take(keep))
 
 
 def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: float):
@@ -306,35 +309,33 @@ def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: flo
     return (k, moves) if np.all(moves >= tol) else None
 
 
-def _repeat(trace: DynamicsTrace, steps: TraceBlock, k: int, moves: np.ndarray, start: int,
-            end: int, size: int, record_every: int):
-    """Add to the trace the steps after the full block `steps` of the steps
-    start, start + 1, ... up to end - 1, in blocks of at most `size`, for a
-    run that repeats the block's rows from row k, step first = start + k,
-    on with the stop deltas `moves` that _cycle returned: step s is row
-    k + (s - first) mod P. The cycle's rows and deltas are tiled once from
-    the block into a read-only buffer of one block plus P - 1 rows; each
-    block views it from the phase of its first step and has an iteration
-    array of its own, and _keep copies out the kept rows of a block whose
-    rows are not all kept. Nothing is stepped, floor-checked, given stop
-    deltas or read for the budget drift: every row is a row of the cycle,
-    checked and settled when it was stepped. Records the cycle on the
-    trace."""
-    first, period, t = start + k, len(moves), start + len(steps)
-    tile = np.arange(min(size, end - t) + period - 1) % period
+def _repeat(blocks: list, steps: TraceBlock, k: int, moves: np.ndarray, t: int, end: int,
+            size: int, record_every: int):
+    """Add to blocks the steps t, t + 1, ... up to end - 1 that follow the
+    full block `steps`, for a run that repeats the block's rows from row k
+    on with the stop deltas `moves` that _cycle returned. Step t is
+    P = len(moves) steps after the cycle's first, so step t + i is row
+    k + i mod P. The cycle's rows and deltas are tiled once, from row k,
+    into a read-only buffer of the size // P whole cycles that fit in a
+    block of `size` rows, at most end - t rows; every block of the tail
+    views the buffer's first rows, so it starts at the cycle's first row,
+    and has an iteration array of its own. _keep copies out the kept rows
+    of a block whose rows are not all kept. Nothing is stepped,
+    floor-checked, given stop deltas or read for the budget drift: every row
+    is a row of the cycle, checked and settled when it was stepped. Returns
+    the cycle as (onset, period)."""
+    period = len(moves)
+    tile = np.arange(min(size // period * period, end - t)) % period
     cycle = replace(steps.take(slice(k, None)), stop_delta=moves).take(tile)
     B = cycle.budgets_B
-    trace.cycle = first, period
-    while t < end:
-        n = min(size, end - t)
-        phase = (t - first) % period
-        rows = slice(phase, phase + n)
-        iteration = np.arange(t, t + n, dtype=float)
+    for start in range(t, end, len(tile)):
+        n = min(len(tile), end - start)
+        iteration = np.arange(start, start + n, dtype=float)
         iteration.flags.writeable = False
-        block = TraceBlock(iteration, cycle.prices[rows], cycle.bids[rows], cycle.stop_delta[rows],
-                           None if B is None else B[rows], cycle.laziness)
-        _keep(trace, block, t, True, record_every, t + n == end)
-        t += n
+        block = TraceBlock(iteration, cycle.prices[:n], cycle.bids[:n], cycle.stop_delta[:n],
+                           None if B is None else B[:n], cycle.laziness)
+        _keep(blocks, block, start, True, record_every, start + n == end)
+    return t - period, period
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
@@ -365,7 +366,9 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     that follows the crossing is kept.
     Once a full block shows the exact cycle the run has entered, and no
     step of the cycle stops the run, the rest of the run is views of the
-    cycle's rows (_repeat; see the module docstring)."""
+    cycle's rows (_repeat; see the module docstring). The kept blocks, the
+    budget drift and the cycle are collected as the run goes, and the trace
+    is built from them with one constructor call."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
@@ -374,8 +377,8 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
         _check_spending(market, B, e)
     step_rows = _pr_map(market)
     tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
-    trace = DynamicsTrace(market.mode)
-    size = max(1, BLOCK_ENTRIES // bids.size)
+    blocks, drift, cycle = [], 0.0, None
+    size = block_rows(market)
     steps = TraceBlock.empty(market, min(size, end - t))
     allocation = np.empty((len(steps), *bids.shape))
     x_rows = list(allocation)  # the scratch serves every block
@@ -409,19 +412,18 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
             prev = stops[-1].copy()  # the next block overwrites the scratch
             rows = steps.take(slice(count))
             if exchange:
-                trace.track_budget_drift(rows.budgets_B)
-            _keep(trace, rows, start, count == len(steps), record_every, done)
+                drift = budget_drift(rows.budgets_B, drift)
+            _keep(blocks, rows, start, count == len(steps), record_every, done)
             if done:
                 break
-            cycle = _cycle(steps, following, stops, tol)
-            if cycle is not None:  # no step of the cycle stops the run: repeat it, don't step it
-                _repeat(trace, steps, *cycle, start, end, size, record_every)
+            found = _cycle(steps, following, stops, tol)
+            if found is not None:  # no step of the cycle stops the run: repeat it, don't step it
+                cycle = _repeat(blocks, steps, *found, t, end, size, record_every)
                 t = end
                 break
             steps = following
-    trace.n_steps = t
-    trace.stop_reason = "price_tol" if stopped else "max_iters"
-    return trace
+    stop_reason = "price_tol" if stopped else "max_iters"
+    return DynamicsTrace(market.mode, blocks, stop_reason, t, drift, cycle)
 
 
 def run_fisher(

@@ -6,10 +6,10 @@ agents) plus a per-agent laziness parameter alpha in (0, 1).
 
 A DynamicsTrace stores the PR state of the recorded iterations, the state a
 full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
-derived when read. After the exact cycle a run has entered, the run
-driver's blocks are read-only views of one buffer of the cycle's rows,
-shared between blocks, so a cycling run's trace holds its stepped rows, one
-block of the cycle and an iteration per row.
+derived when read. This module owns the trace's layout and bookkeeping:
+the rows a block holds (``block_rows``), the budget drift
+(``budget_drift``) and, on a run that entered an exact cycle, how a per-row
+series is tiled over the cycle's rows (``DynamicsTrace.per_row``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ from .utilities import UtilitySpec, share_row
 # bound memory: blocks of 1024 records raised the peak memory of
 # `prdyn run --diagnostics` and `verify` on 60x60 Fisher markets by 16 %.
 BLOCK_ENTRIES = 1 << 15
+
+
+def block_rows(market: MarketSpec) -> int:
+    """The rows of one block of market's trace, and the steps of one block
+    of the run driver."""
+    return max(1, BLOCK_ENTRIES // (market.n_buyers * market.n_goods))
 
 
 class Mode(Enum):
@@ -242,11 +248,20 @@ class _Rows(Sequence):
                 yield block.row(k)
 
 
-@dataclass
+def budget_drift(budgets_B: np.ndarray, drift: float = 0.0) -> float:
+    """drift widened to cover one vector of bank balances, or a stack of
+    them along a leading axis: the worst deviation of sum_i B_i from 1. A
+    NaN balance makes it NaN."""
+    deviation = np.abs(np.add.reduce(budgets_B, axis=-1) - 1.0)
+    return float(np.maximum.reduce(deviation, None, initial=drift))
+
+
+@dataclass(frozen=True)
 class DynamicsTrace:
     """The PR state of the recorded iterations, in TraceBlocks of at most
-    BLOCK_ENTRIES bids, plus run-level bookkeeping. Once a run driver or
-    ``stacked`` has returned it, nothing changes it.
+    ``block_rows`` rows, plus run-level bookkeeping. The run driver and
+    ``stacked`` build it with one constructor call, and it is frozen: no
+    field can be set afterwards.
 
     ``budget_drift`` is the worst deviation of sum_i B_i from 1 seen at any
     iteration of an exchange run (0.0 for Fisher runs); a trace built by
@@ -257,8 +272,9 @@ class DynamicsTrace:
     balances and prices of iteration t are those of iteration
     onset + (t - onset) mod period. The driver stepped the iterations
     before onset + period, and its later blocks are read-only views of one
-    buffer of the cycle's rows. Only the driver sets it; it is None on a
-    trace that did not cycle and on one built by ``stacked``.
+    buffer of the cycle's rows. It is None on a trace that did not cycle
+    and on one built by ``stacked``. ``per_row`` reads it to evaluate each
+    distinct row of a cycling trace once.
     """
 
     mode: Mode
@@ -266,7 +282,7 @@ class DynamicsTrace:
     stop_reason: str = ""
     n_steps: int = 0
     budget_drift: float = 0.0
-    cycle: Optional[Tuple[int, int]] = field(default=None, init=False)
+    cycle: Optional[Tuple[int, int]] = None
 
     @classmethod
     def stacked(cls, market: MarketSpec, iteration, prices, bids, stop_delta,
@@ -278,23 +294,33 @@ class DynamicsTrace:
         whole = TraceBlock(*(None if a is None else np.asarray(a, dtype=float)
                              for a in (iteration, prices, bids, stop_delta, budgets_B)),
                            market.laziness)
-        size = max(1, BLOCK_ENTRIES // (market.n_buyers * market.n_goods))
+        size = block_rows(market)
         blocks = [whole.take(slice(k, k + size)) for k in range(0, len(whole), size)]
-        trace = cls(market.mode, blocks, n_steps=int(whole.iteration[-1]) + 1)
-        if budgets_B is not None:
-            trace.track_budget_drift(whole.budgets_B)
-        return trace
+        drift = 0.0 if budgets_B is None else budget_drift(whole.budgets_B)
+        return cls(market.mode, blocks, n_steps=int(whole.iteration[-1]) + 1, budget_drift=drift)
 
     @property
     def records(self) -> Sequence[TraceBlock]:
         """Every recorded row, oldest first, as views of the stored blocks."""
         return _Rows(self.blocks)
 
-    def track_budget_drift(self, budgets_B: np.ndarray):
-        """Widen budget_drift to cover one vector of bank balances, or a
-        stack of them along a leading axis. A NaN balance makes it NaN."""
-        deviation = np.abs(np.add.reduce(budgets_B, axis=-1) - 1.0)
-        self.budget_drift = float(np.maximum.reduce(deviation, None, initial=self.budget_drift))
+    def per_row(self, series) -> np.ndarray:
+        """series(block), an array of one value per row of a block, for every
+        row of a consecutive trace. On a trace that cycles from iteration
+        onset on with period P, the blocks after the one that holds row
+        onset + P - 1 are not evaluated: row t takes the value of row
+        onset + (t - onset) mod P. A row has the same bits alone or inside a
+        block, so this is bit for bit what evaluating every row gives."""
+        values = np.empty(len(self.records))
+        done = 0
+        for block in self.blocks:
+            values[done:done + len(block)] = series(block)
+            done += len(block)
+            if self.cycle is not None and done >= sum(self.cycle):
+                onset, period = self.cycle
+                values[done:] = values[onset + (np.arange(done, len(values)) - onset) % period]
+                break
+        return values
 
     def is_consecutive(self) -> bool:
         """Whether the rows are the iterations 0, 1, 2, ... with none missing."""

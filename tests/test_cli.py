@@ -4,6 +4,7 @@ import logging
 import re
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prdyn import Mode, cli
+from prdyn import CES, MarketSpec, Mode, SeparablePower, cli, validate_market
 from prdyn import equilibrium as eqmod
 from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
@@ -207,6 +208,35 @@ class TestGen:
         generate_market(2, 3, "cobb_douglas", seed=9, mode=Mode.EXCHANGE)
 
 
+def _wide_weight_ces_market():
+    """4 x 5 Fisher CES market whose weights span 16 decades, at rho 0.995:
+    demand at uniform prices is out of float range."""
+    rng = np.random.default_rng(0)
+    rho = float(rng.choice([0.97, 0.99, 0.995]))
+    utilities = tuple(CES(np.exp(rng.uniform(np.log(1e-8), np.log(1e8), 5)), rho)
+                      for _ in range(4))
+    return validate_market(MarketSpec(4, 5, utilities, Mode.FISHER,
+                                      budgets=rng.uniform(0.5, 2.0, 4)))
+
+
+def _with_exponent(market, r):
+    """market with every CES rho or separable-power exponent set to r."""
+    if isinstance(market.utilities[0], CES):
+        utilities = tuple(CES(u.weights, r) for u in market.utilities)
+    else:
+        utilities = tuple(SeparablePower(u.weights, np.full(market.n_goods, r))
+                          for u in market.utilities)
+    return validate_market(replace(market, utilities=utilities))
+
+
+ORACLE_EXITS = {
+    "demand-out-of-range-at-uniform-prices": _wide_weight_ces_market,
+    "trial-state-rejected": lambda: _with_exponent(generate_market(6, 8, "ces", seed=0), 0.999),
+    "line-search-stall": lambda: _with_exponent(
+        generate_market(4, 5, "separable_power", seed=3, mode=Mode.EXCHANGE), 0.99),
+}
+
+
 class TestSolve:
     def test_diverging_oracle_exits_one(self, tmp_path):
         mfile = tmp_path / "m.json"
@@ -260,6 +290,46 @@ class TestSolve:
             "residuals": {"clearing": eq.clearing, "optimality_gap": eq.optimality_gap,
                           "budget_gap": eq.budget_gap},
         }
+
+
+    @pytest.mark.parametrize("case", ORACLE_EXITS)
+    def test_oracle_failure_exit(self, tmp_path, monkeypatch, case):
+        """Each exit of the oracle's Newton iteration that reports
+        converged=False before max_iters, reached without a warning; solve
+        writes null for each non-finite residual and exits 1."""
+        market = ORACLE_EXITS[case]()
+        sums = []  # the aggregate demand of every state the oracle evaluates
+        demand_rows = eqmod.demand_rows
+
+        def recorded(*args):
+            x = demand_rows(*args)
+            sums.append(x.sum(axis=0))
+            return x
+
+        monkeypatch.setattr(eqmod, "demand_rows", recorded)
+        solve = eqmod.solve_fisher_eq if market.mode is Mode.FISHER else eqmod.solve_exchange_eq
+        eq = solve(market)
+        valid = [bool(np.all(np.isfinite(z) & (z > 0))) for z in sums]
+        residuals = {"clearing": eq.clearing, "optimality_gap": eq.optimality_gap,
+                     "budget_gap": eq.budget_gap}
+        finite = all(np.isfinite(list(residuals.values())))
+        assert not eq.converged
+        if case == "demand-out-of-range-at-uniform-prices":
+            assert eq.iterations == 0 and not valid[0]
+        elif case == "trial-state-rejected":
+            # a line-search trial leaves float range; a shorter step is taken,
+            # and the result's optimality gap is not finite
+            assert 0 < eq.iterations < 20000 and valid[0] and not all(valid)
+            assert not finite
+        else:  # the line search stalls with finite residuals, which no other exit gives
+            assert 0 < eq.iterations < 20000 and finite
+        mfile, out = tmp_path / "m.json", tmp_path / "sol"
+        write_market(market, mfile)
+        assert main(["solve", "--market", str(mfile), "--out", str(out)]) == 1
+        doc = json.loads((out / "equilibrium.json").read_text())
+        assert (doc["converged"], doc["iterations"]) == (False, eq.iterations)
+        assert doc["residuals"] == {name: value if np.isfinite(value) else None
+                                    for name, value in residuals.items()}
 
 
 class TestRun:
@@ -840,3 +910,40 @@ class TestOSErrors:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error
         assert str(tmp_path) in record["message"]
+
+
+class TestOutDirectory:
+    """A command makes its --out directory after every check that can fail,
+    just before its first write, so a command that exits 2 leaves none
+    behind."""
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["solve", "--max-iters", "0"], "InvalidRunControl", id="solve-max-iters-0"),
+        pytest.param(["run", "--max-iters", "0"], "InvalidRunControl", id="run-max-iters-0"),
+        pytest.param(["run", "--record-every", "0"], "InvalidRunControl",
+                     id="run-record-every-0"),
+        pytest.param(["run", "--diagnostics", "--record-every", "7"], "NonConsecutiveTrace",
+                     id="run-diagnostics-record-every-7"),
+        pytest.param(["verify", "--trace", "{tmp}/header.csv"], "NonConsecutiveTrace",
+                     id="verify-header-only-dump"),
+    ])
+    def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys, argv, error):
+        mfile = tmp_path / "m.json"
+        main(["gen", "3", "4", "ces", "--out", str(mfile)])
+        main(["run", "--market", str(mfile), "--max-iters", "5", "--full-dump",
+              "--out", str(tmp_path / "run")])
+        header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0]
+        (tmp_path / "header.csv").write_text(header + "\n")
+        capsys.readouterr()
+        command, *flags = argv
+        out = tmp_path / "out"
+        assert main([command, "--market", str(mfile),
+                     *(a.replace("{tmp}", str(tmp_path)) for a in flags), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
+    def test_run_makes_a_nested_out_directory(self, tmp_path):
+        mfile, out = tmp_path / "m.json", tmp_path / "a" / "b" / "c"
+        main(["gen", "3", "4", "ces", "--out", str(mfile)])
+        assert main(["run", "--market", str(mfile), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json", "trace.csv"]

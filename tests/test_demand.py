@@ -15,9 +15,11 @@ from prdyn import (
 from prdyn.errors import (
     BoundaryBundle,
     BudgetNotDominated,
+    InvalidRunControl,
     NonPositiveBudget,
     NonPositivePrice,
     PriceNotDominated,
+    ToleranceNotReached,
 )
 from prdyn.demand import demand_jacobian, demand_rows, kkt_rows
 from prdyn.market import income
@@ -67,6 +69,25 @@ class TestFamilyGradient:
             assert abs(p @ x - e) <= 1e-12 * e
             per_dollar = eval_gradient(u, x) / p
             assert np.ptp(per_dollar) <= 1e-12 * per_dollar.max()
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [np.nan, -0.5])
+    def test_tolerance_not_nonnegative_is_refused(self, tol):
+        # no spending meets such a tolerance, so Newton would take all of its
+        # steps and then report a tolerance it was never given
+        with pytest.raises(InvalidRunControl, match="tol must be nonnegative"):
+            demand(CES([1.0, 2.0], 0.5), [1.0, 2.0], 1.0, tol=tol)
+
+    def test_zero_tolerance_is_not_reached(self):
+        # tol = 0 asks for a spending error of exactly 0; on this bundle
+        # Newton ends at an error of rounding size and stops after its steps
+        rng = np.random.default_rng(6)
+        u = SeparablePower(rng.uniform(0.1, 10.0, 2), rng.uniform(0.2, 0.8, 2))
+        p = rng.uniform(0.1, 10.0, 2)
+        with pytest.raises(ToleranceNotReached, match="relative tolerance 0.0 in 100 steps"):
+            demand(u, p, 1.0, tol=0.0)
+        assert abs(demand(u, p, 1.0).spent - 1.0) <= 1e-12
 
 
 class TestSeparableNumeric:

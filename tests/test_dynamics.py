@@ -7,6 +7,7 @@ Every record field, the drift, n_steps and the stop reason must match bit
 for bit.
 """
 
+import dataclasses
 import re
 import tracemalloc
 from dataclasses import replace
@@ -46,7 +47,7 @@ from prdyn.errors import (
     ShapeMismatch,
     UnderflowDetected,
 )
-from prdyn.market import BLOCK_ENTRIES, TraceBlock
+from prdyn.market import BLOCK_ENTRIES, TraceBlock, block_rows, budget_drift
 from conftest import FAMILIES, random_fisher_market
 from test_exchange import random_exchange_market
 
@@ -130,13 +131,12 @@ def test_driver_matches_per_step_reference(
     market, run = reference[mode, price_tol]
     records, _, n_steps, stop_reason = run
     balances = []  # every stack of bank balances the drift is widened by
-    track = DynamicsTrace.track_budget_drift
 
-    def tracked(trace, budgets_B):
+    def tracked(budgets_B, drift=0.0):
         balances.append(np.atleast_2d(budgets_B))
-        track(trace, budgets_B)
+        return budget_drift(budgets_B, drift)
 
-    monkeypatch.setattr(DynamicsTrace, "track_budget_drift", tracked)
+    monkeypatch.setattr("prdyn.dynamics.budget_drift", tracked)
     stepped = count_steps(monkeypatch)
     stop = StopRule(max_iters=LONG, price_tol=price_tol)
     if mode == "fisher":
@@ -172,7 +172,7 @@ def test_price_tol_stop_at_a_block_edge(reference, monkeypatch, mode):
     # for rows = 1, its first row for rows = last, its last row for
     # rows = last + 1 and the row after its first for rows = last - 1
     for rows in (1, last - 1, last, last + 1):
-        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         for record_every in (1, 7):
             trace = run(StopRule(LONG, 1e-9), record_every)
             assert_matches_reference(trace, run_1e9, record_every)
@@ -280,7 +280,7 @@ def test_floor_crossing_on_any_row_of_a_block(crossings, monkeypatch, mode):
     # of a block for rows = 1 and rows = iteration, the first for
     # iteration - 1 and the next to last for iteration + 1
     for rows in (1, iteration - 1, iteration, iteration + 1):
-        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
             run(StopRule(20000, 0.0))
 
@@ -381,7 +381,7 @@ def test_cycle_fill_at_any_row_of_a_block(cycling, monkeypatch, name, price_tol)
     # rows = period; with rows = period - 1 no block holds a whole cycle and
     # every step is taken
     for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
-        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         stepped = count_steps(monkeypatch)
         trace = run(StopRule(CYCLE_STEPS, price_tol))
         assert_matches_reference(trace, references[price_tol], 1)
@@ -430,7 +430,7 @@ def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch,
     _, _, run = stepper(market)
     # the block edges of test_cycle_fill_at_any_row_of_a_block
     for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
-        monkeypatch.setattr("prdyn.dynamics.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
         trace = run(StopRule(CYCLE_STEPS, 0.0))
         assert (trace.cycle is not None) == (rows >= period)
         plain = restacked(market, trace)
@@ -467,6 +467,40 @@ def test_cycling_trace_holds_its_stepped_rows_and_one_cycle_block(monkeypatch):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
     assert np.shares_memory(tail[0].bids, tail[-1].bids)
+
+
+@pytest.mark.parametrize("name", ["exchange-P3", "fisher-P6"])
+def test_cycle_tail_views_one_buffer_of_whole_cycles(name):
+    """Every block after the cycle starts at the cycle's first row, so the
+    full ones all view the same rows of one buffer, and that buffer holds
+    the whole cycles that fit in a block. The block sizes of these markets,
+    682 and 170 rows, are not multiples of their periods."""
+    market = CYCLING[name]()
+    trace = stepper(market)[2](StopRule(20000, 0.0))
+    onset, period = trace.cycle
+    size = block_rows(market)
+    assert size % period
+    tail = [b for b in trace.blocks if b.iteration[0] >= onset + period]
+    assert len(tail) > 20 and tail[0].iteration[0] == onset + period
+    fields = ("prices", "bids", "stop_delta", "budgets_B")
+
+    def addresses(block):
+        return [getattr(block, f).__array_interface__["data"][0] for f in fields
+                if getattr(block, f) is not None]
+
+    for block in tail:
+        if len(block) == len(tail[0]):
+            assert addresses(block) == addresses(tail[0])
+    assert len(tail[0].bids.base) <= size
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DynamicsTrace)])
+def test_trace_is_frozen(field):
+    market = mixed_market("exchange")
+    driven = stepper(market)[2](StopRule(50, 0.0))
+    for trace in (driven, restacked(market, driven)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, field, getattr(trace, field))
 
 
 @pytest.mark.parametrize("mode", ["fisher", "exchange"])
@@ -533,13 +567,12 @@ def test_steps_leave_inputs_and_earlier_outputs_alone(mode):
 
 
 def test_budget_drift_propagates_nan():
-    trace = DynamicsTrace(mode=Mode.EXCHANGE)
-    trace.track_budget_drift(np.array([0.25, 0.75 + 1e-12]))
-    assert trace.budget_drift > 0
-    trace.track_budget_drift(np.array([np.nan, 0.5]))
-    assert np.isnan(trace.budget_drift)
-    trace.track_budget_drift(np.array([[0.5, 0.5], [0.25, 0.75]]))
-    assert np.isnan(trace.budget_drift)
+    drift = budget_drift(np.array([0.25, 0.75 + 1e-12]))
+    assert drift > 0
+    drift = budget_drift(np.array([np.nan, 0.5]), drift)
+    assert np.isnan(drift)
+    drift = budget_drift(np.array([[0.5, 0.5], [0.25, 0.75]]), drift)
+    assert np.isnan(drift)
 
 
 def test_spending_not_alpha_times_balance_is_refused():

@@ -28,7 +28,7 @@ from .dynamics import (
     run_fisher,
 )
 from .errors import InvalidRunControl, NonPositiveEntry, ParseError, PrdynError
-from .market import DynamicsTrace, MarketSpec, Mode, validate_market
+from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
 log = logging.getLogger("prdyn")
@@ -173,6 +173,8 @@ def generate_market(
     mode, alpha is the laziness of every agent or a per-agent vector."""
     if family not in _FAMILIES:
         raise ParseError(f"unknown family {family!r}, expected one of {_FAMILIES}")
+    if seed < 0:
+        raise InvalidRunControl(f"seed must be >= 0, got {seed}")
     if mode is Mode.EXCHANGE and m < n:
         raise ParseError("exchange generation needs at least one good per agent (m >= n)")
     rng = np.random.default_rng(seed)
@@ -249,7 +251,8 @@ def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool 
             done += k
 
 
-# A dump's p_j must be the column sum of its bids to this relative tolerance.
+# A dump's p_j must be the column sum of its bids, and each of its prices,
+# bids and bank balances the replay's, to this relative tolerance.
 PRICE_RTOL = 1e-12
 
 
@@ -403,14 +406,49 @@ def _diagnostics_doc(market: MarketSpec, trace: DynamicsTrace):
     return doc, report.potential_series
 
 
+def _dynamics(market: MarketSpec, stop: StopRule, record_every: int = 1,
+              first=None) -> DynamicsTrace:
+    """The run of market's mode under stop, from the state of the trace row
+    `first` or, when it is None, from the default start."""
+    if market.mode is Mode.FISHER:
+        bids = default_initial_bids(market) if first is None else first.bids
+        return run_fisher(market, bids, stop, record_every)
+    init = (default_initial_exchange(market) if first is None
+            else ExchangeState(first.budgets_B, first.spend_e, first.bids))
+    return run_exchange(market, init, stop, record_every)
+
+
+def _replay_mismatch(market: MarketSpec, trace: DynamicsTrace):
+    """Where a consecutive trace is not the PR run from its row 0: the first
+    iteration, then the first column in file order, whose price, bid or bank
+    balance is off the run's by more than a relative PRICE_RTOL (SIMD pow
+    may round differently on another CPU), or None when every row is on.
+    The run is made through the run driver one trace block at a time, each
+    from the last row the run reached, so it holds one block of the run."""
+    def state(blocks):  # one row per record: its prices, bids and bank balances
+        fields = zip(*((b.prices, b.bids.reshape(len(b), -1), b.budgets_B) for b in blocks))
+        return np.hstack([np.concatenate(f) for f in fields if f[0] is not None])
+
+    m, header = market.n_goods, _trace_header(market, True)
+    names = header[1:m + 1] + header[m + 3:]  # not iteration, potential or max_price_delta
+    last = trace.records[0]
+    for k, block in enumerate(trace.blocks):
+        lead = int(k > 0)  # after the first block, the run starts at the row before
+        replay = _dynamics(market, StopRule(max_iters=len(block) + lead), first=last)
+        want = state(replay.blocks)[lead:]
+        off = np.abs(state([block]) - want) > PRICE_RTOL * np.abs(want)
+        if off.any():
+            t, col = divmod(int(np.argmax(off)), off.shape[1])
+            return {"iteration": int(block.iteration[t]), "column": names[col]}
+        last = replay.blocks[-1].row(-1)
+    return None
+
+
 def _run_one(market: MarketSpec, args, out: Path) -> int:
     """One run of `market` under the `run` subcommand's flags, its artifacts
     written to `out`."""
     stop = StopRule(max_iters=args.max_iters, price_tol=args.price_tol)
-    if market.mode is Mode.FISHER:
-        trace = run_fisher(market, default_initial_bids(market), stop, args.record_every)
-    else:
-        trace = run_exchange(market, default_initial_exchange(market), stop, args.record_every)
+    trace = _dynamics(market, stop, args.record_every)
 
     diag_passed, potential = True, None
     if args.diagnostics:
@@ -460,11 +498,11 @@ def cmd_run(args) -> int:
         raise ParseError(f"--batch needs a single-family market, got families {families}")
     codes, error = [], None
     for seed in range(args.seed, args.seed + args.batch):
-        sub = Path(args.out) / f"seed-{seed:04d}"
-        sub.mkdir(parents=True, exist_ok=True)
         market = generate_market(
             src.n_buyers, src.n_goods, families[0], seed=seed, mode=src.mode, alpha=src.laziness
         )
+        sub = Path(args.out) / f"seed-{seed:04d}"
+        sub.mkdir(parents=True, exist_ok=True)
         write_market(market, sub / "market.json")
         try:
             codes.append(_run_one(market, args, sub))
@@ -478,7 +516,10 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     market = load_market(args.market)
     trace = read_trace(args.trace, market)
-    doc, _ = _diagnostics_doc(market, trace)
+    doc, _ = _diagnostics_doc(market, trace)  # requires every row from iteration 0
+    mismatch = _replay_mismatch(market, trace)
+    if mismatch is not None:
+        doc.update(passed=False, replay_mismatch=mismatch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # after the diagnostics, which can raise
     _write_json(doc, out / "diagnostics.json")
@@ -524,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--batch", type=int, default=1)
     r.set_defaults(func=cmd_run)
 
-    v = sub.add_parser("verify", help="replay a full-dump trace through diagnostics")
+    v = sub.add_parser("verify", help="re-run a full-dump trace and check it with diagnostics")
     v.add_argument("--market", required=True)
     v.add_argument("--trace", required=True)
     v.add_argument("--out", default="out")

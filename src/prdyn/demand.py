@@ -11,8 +11,10 @@ strictly decreasing in t, so Newton converges from any start, and it is
 exact after one step on a row with a constant exponent. demand_jacobian
 differentiates the same rows in log p for the equilibrium oracle. Demand
 shares no iteration with the dynamics; the corresponding price q = e * s / x
-uses its share kernel. As both read the share rows, the checks on each
-family's row are made against the family's own gradient, eval_gradient:
+uses its share kernel, in one function, corresponding_prices, which the
+oracle's KKT residual and the Lemma 3.3 check call too. As both read the
+share rows, the checks on each family's row are made against the family's
+own gradient, eval_gradient:
 test_demand's TestFamilyGradient::test_demand_meets_kkt and
 TestCorrespondingPrice::test_round_trip.
 """
@@ -33,7 +35,7 @@ from .errors import (
     PriceNotDominated,
     ToleranceNotReached,
 )
-from .utilities import UtilitySpec, bid_shares, eval_gradient, share_row
+from .utilities import UtilitySpec, _check_bundle, eval_gradient, share_row, shares
 
 _MAX_NEWTON = 100
 
@@ -119,6 +121,14 @@ def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
     return DemandResult(x=x, spent=float(p @ x), lam=float(eval_gradient(u, x)[0] / p[0]))
 
 
+def corresponding_prices(C: np.ndarray, R: np.ndarray, X: np.ndarray, e) -> np.ndarray:
+    """q = e * s(X) / X for bundles X of any leading axes, with the share
+    kernel's s: the last axis of X is the goods, and e holds one budget per
+    bundle (or one for all). It checks nothing; a bundle with a zero entry
+    has no corresponding price."""
+    return np.asarray(e)[..., None] * shares(C, R, X) / X
+
+
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:
     """The unique price vector at which the strictly positive bundle x is optimal.
 
@@ -127,7 +137,7 @@ def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise BoundaryBundle(f"corresponding price needs a strictly positive bundle, got {x}")
-    return e * bid_shares(u, x) / x
+    return corresponding_prices(*share_row(u), _check_bundle(u, x), e)
 
 
 @dataclass(frozen=True)

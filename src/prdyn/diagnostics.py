@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .demand import demand
+from .demand import corresponding_prices, demand
 from .equilibrium import EquilibriumResult, TransformedEquilibrium
 from .errors import (
     BoundaryBundle,
@@ -34,9 +34,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode
-from .utilities import UtilitySpec, shares
+from .utilities import UtilitySpec
 
 DEFAULT_SLACK = 1e-9
+# The Lemma 3.3 allocations must have column sums 1 to this absolute tolerance.
+_FEASIBLE = 1e-8
 
 
 def _kl_rows(a: np.ndarray, B: np.ndarray, weights=None) -> np.ndarray:
@@ -148,28 +150,25 @@ def lemma_gap(u: UtilitySpec, p, q, e: float) -> float:
     return lhs - rhs
 
 
-def _lemma_33_gaps(
-    market: MarketSpec, eq: EquilibriumResult, X: np.ndarray, feas_tol: float
-) -> np.ndarray:
+def _lemma_33_gaps(market: MarketSpec, eq: EquilibriumResult, X: np.ndarray) -> np.ndarray:
     """Personal-price gaps of a stack X of allocations, shape (T, n, m)."""
     deviation = np.max(np.abs(X.sum(axis=1) - 1.0))
-    if deviation > feas_tol:
+    if deviation > _FEASIBLE:
         raise InfeasibleAllocation(f"column sums deviate from 1 by {deviation}")
     if not np.all(X > 0):
         raise BoundaryBundle("corresponding prices need a strictly positive allocation")
-    Q = market.budgets[:, None] * shares(*market.share_rows, X) / X
+    Q = corresponding_prices(*market.share_rows, X, market.budgets)
     terms = eq.x_star * eq.p_star * (np.log(eq.p_star) - np.log(Q))
     return np.sum(terms.reshape(len(X), -1), axis=1)
 
 
-def lemma_33_check(
-    market: MarketSpec, eq: EquilibriumResult, alloc, feas_tol: float = 1e-8
-) -> float:
+def lemma_33_check(market: MarketSpec, eq: EquilibriumResult, alloc) -> float:
     """Personal-price inequality along feasible interior allocations:
     sum_ij x*_ij p*_j (log p*_j - log q_ij) <= 0, where q_i is the
-    corresponding price of buyer i's bundle."""
+    corresponding price of buyer i's bundle. The allocation's column sums
+    must be 1 to an absolute 1e-8."""
     alloc = np.asarray(alloc, dtype=float)
-    return float(_lemma_33_gaps(market, eq, alloc[None], feas_tol)[0])
+    return float(_lemma_33_gaps(market, eq, alloc[None])[0])
 
 
 def _exchange_potentials(
@@ -222,7 +221,7 @@ def diagnose_fisher(
     report = check_potential_decrease(trace, eq, slack)  # requires a consecutive trace
     T, lhs, rhs = _avg_price_rate(trace, eq, trace.records[0].bids)
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
-    gaps = trace.per_row(lambda block: _lemma_33_gaps(market, eq, block.allocation, 1e-8))
+    gaps = trace.per_row(lambda block: _lemma_33_gaps(market, eq, block.allocation))
     report.lemma_gap_min = float(gaps.min())
     rate_ok = bool(np.all(lhs <= rhs + slack))
     lemma_ok = bool(np.all(gaps <= slack))

@@ -273,7 +273,10 @@ def _keep(blocks: list, rows: TraceBlock, start: int, full: bool, record_every: 
     the last. When `full`, every row of the arrays `rows` views is a step of
     the run, and a block whose rows are all kept joins the trace as it is;
     otherwise its kept rows are copied out, so that the trace holds no
-    unused rows."""
+    unused rows. The copy also frees the last stepped block of a run that
+    stops inside it: kept as views, it left the block-sized temporaries of
+    the diagnostics that follow without that memory to reuse, and
+    fisher-verify ran about 9 % slower."""
     keep = np.zeros(len(rows), bool)
     keep[-start % record_every::record_every] = True
     keep[-1] |= done

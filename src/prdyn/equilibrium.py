@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import _check_price, demand_jacobian, demand_rows, kkt_rows
+from .demand import _check_price, corresponding_prices, demand_jacobian, demand_rows, kkt_rows
 from .errors import InvalidRunControl, ModeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
-from .utilities import shares
 
 _ARMIJO = 1e-4  # sufficient decrease of ||log z||^2 per unit step length
 _MIN_STEP = 2.0 ** -30  # shortest step length the line search tries
@@ -65,7 +64,7 @@ def _finish(
         budget_gap = _worst(np.abs(b.sum(axis=1) - e) / e)
         # KKT residual: the corresponding price of each buyer's bundle should
         # be the market price; a bundle on the boundary has none.
-        Q = e[:, None] * shares(*market.share_rows, x) / x
+        Q = corresponding_prices(*market.share_rows, x, e)
         opt = _worst(np.abs(Q - p) / p)
     finite = bool(np.isfinite([clearing, opt, budget_gap]).all())
     return EquilibriumResult(

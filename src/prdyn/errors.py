@@ -56,7 +56,8 @@ class BudgetNotDominated(PrdynError):
 # --- dynamics ---
 
 class InvalidRunControl(PrdynError, ValueError):
-    """A stop rule, recording interval, batch size or oracle tolerance out of range."""
+    """A stop rule, recording interval, batch size, oracle tolerance or
+    market-generation seed out of range."""
 
 
 class NonPositiveBid(PrdynError):

@@ -24,6 +24,11 @@ def _positive_weights(a) -> np.ndarray:
         raise UtilityParamInvalid(f"weights must be a nonempty 1-d vector, got shape {a.shape}")
     if not np.all(np.isfinite(a) & (a > 0)):
         raise UtilityParamInvalid(f"all weights must be finite and strictly positive, got {a}")
+    # The share kernel bounds sum_j c_j x_j^{r_j} only by sum_j c_j (x <= 1),
+    # and Cobb-Douglas normalizes by it: a sum past float range breaks both.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(a.sum()):
+            raise UtilityParamInvalid(f"weights must have a finite sum, got {a}")
     return a
 
 
@@ -35,9 +40,6 @@ class CobbDouglas:
 
     def __post_init__(self):
         a = _positive_weights(self.weights)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(a.sum()):
-                raise UtilityParamInvalid(f"Cobb-Douglas weights must have a finite sum, got {a}")
         # Iterate normalization to a bitwise fixed point so that serializing
         # and re-loading a utility reproduces the exact same weights.
         for _ in range(4):

@@ -436,6 +436,37 @@ class TestRun:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "UtilityParamInvalid"
 
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    def test_weights_with_infinite_sum_are_error(self, tmp_path, capsys, command):
+        """Finite weights whose sum is not finite are refused at load, in
+        every family: a CES market with such weights once made run exit 2
+        with UnderflowDetected and solve exit 0 with an optimality gap of 1."""
+        mfile = tmp_path / "m.json"
+        main(["gen", "3", "4", "ces", "--out", str(mfile)])
+        doc = json.loads(mfile.read_text())
+        doc["buyers"][0]["utility"]["weights"] = [1e308] * 4
+        write_json(mfile, doc)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, "--market", str(mfile), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "UtilityParamInvalid"
+        assert record["message"].startswith("buyer 0: weights must have a finite sum")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen", "3", "4", "ces", "--seed", "-1"], id="gen"),
+        pytest.param(["run", "--market", "{tmp}/m.json", "--batch", "2", "--seed", "-5"],
+                     id="run-batch"),
+    ])
+    def test_negative_seed_is_error(self, tmp_path, capsys, argv):
+        main(["gen", "3", "4", "ces", "--out", str(tmp_path / "m.json")])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidRunControl"
+        assert not out.exists()
+
     def test_batch_keeps_exchange_laziness(self, tmp_path):
         mfile = tmp_path / "m.json"
         main([
@@ -522,6 +553,27 @@ def _set_cell(row: int, col: int, value: str):
         rows[row][col] = value
         return rows
     return tamper
+
+
+def _swap_99_199(rows):
+    """The rows of iterations 99 and 199 trade every column but the iteration."""
+    rows[100][1:], rows[200][1:] = rows[200][1:], rows[100][1:]
+    return rows
+
+
+def _jump_to_last(rows):
+    """The last row's state at every iteration from 1 on."""
+    return rows[:2] + [[str(t)] + rows[-1][1:] for t in range(1, len(rows) - 1)]
+
+
+def _raise_bid(rows):
+    """b_2_3 of iteration 150 raised by a relative 1e-6, and p_3 set to its
+    new column sum, so that the price still sums its bids."""
+    head, row = rows[0], rows[151]
+    k = head.index("b_2_3")
+    row[k] = repr(float(row[k]) * (1 + 1e-6))
+    row[head.index("p_3")] = repr(sum(float(row[head.index(f"b_{i}_3")]) for i in (1, 2, 3)))
+    return rows
 
 
 def _csv_writer_trace(trace, market, path, full_dump: bool, potential=None, legacy: bool = False):
@@ -671,14 +723,14 @@ class TestVerify:
         assert (tmp_path / "dropped.csv").read_bytes() == (run_out / "trace.csv").read_bytes()
 
     @staticmethod
-    def _verify_tampered(
-        tmp_path, capsys, mode: str, tamper, market_mode: str = "", legacy: bool = False,
-    ):
+    def _verify_forged(
+        tmp_path, mode: str, tamper, market_mode: str = "", legacy: bool = False,
+    ) -> int:
         """Run a 300-step full dump of a 3x4 CES market, rewrite its rows
-        (the header first) as tamper(rows), and return the exit code and the
-        error of verify against the market of market_mode (default: mode).
-        With legacy, the dump is first rewritten in the older layout that
-        also holds the x_i_j and e_i columns."""
+        (the header first) as tamper(rows), and return the exit code of
+        verify against the market of market_mode (default: mode), which
+        writes tmp_path/v. With legacy, the dump is first rewritten in the
+        older layout that also holds the x_i_j and e_i columns."""
         mfile, vfile = tmp_path / "m.json", tmp_path / "v.json"
         for path, m in ((mfile, mode), (vfile, market_mode or mode)):
             main(["gen", "3", "4", "ces", "--mode", m, "--seed", "4", "--out", str(path)])
@@ -695,14 +747,40 @@ class TestVerify:
             rows = tamper(list(csv.reader(fh)))
         with open(trace_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
-            code = main([
+            return main([
                 "verify", "--market", str(vfile), "--trace", str(trace_csv),
                 "--out", str(tmp_path / "v"),
             ])
+
+    @classmethod
+    def _verify_tampered(
+        cls, tmp_path, capsys, mode: str, tamper, market_mode: str = "", legacy: bool = False,
+    ):
+        """The exit code and the error of _verify_forged."""
+        code = cls._verify_forged(tmp_path, mode, tamper, market_mode, legacy)
         return code, json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    @pytest.mark.parametrize("forge, iteration, column", [
+        pytest.param(_swap_99_199, 99, None, id="swap-99-199"),
+        pytest.param(_jump_to_last, 1, "p_1", id="jump-to-last"),
+        pytest.param(_raise_bid, 150, "p_3", id="raise-bid"),
+    ])
+    def test_forged_dump_fails_the_replay(self, tmp_path, mode, forge, iteration, column):
+        """verify re-runs the dump from its row 0: a dump that is not the PR
+        run exits 1, and the report names the first row and column off the
+        run."""
+        assert self._verify_forged(tmp_path, mode, forge) == 1
+        doc = json.loads((tmp_path / "v" / "diagnostics.json").read_text())
+        assert doc["passed"] is False
+        found = doc["replay_mismatch"]
+        assert found["iteration"] == iteration
+        header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0].split(",")
+        assert found["column"] in header and found["column"] not in (
+            "iteration", "potential", "max_price_delta")
+        assert column is None or found["column"] == column
 
     @classmethod
     def _verify_with_nan(cls, tmp_path, capsys, mode: str, column: str, legacy: bool = False):

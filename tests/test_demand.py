@@ -21,7 +21,7 @@ from prdyn.errors import (
     PriceNotDominated,
     ToleranceNotReached,
 )
-from prdyn.demand import demand_jacobian, demand_rows, kkt_rows
+from prdyn.demand import corresponding_prices, demand_jacobian, demand_rows, kkt_rows
 from prdyn.market import income
 from conftest import FAMILIES, random_fisher_market, random_utility
 from test_exchange import random_exchange_market
@@ -137,6 +137,19 @@ class TestCorrespondingPrice:
             e = float(rng.uniform(0.5, 2.0))
             q = corresponding_price(u, x, e)
             assert float(q @ x) == pytest.approx(e, rel=1e-13)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, [*FAMILIES, *FAMILIES[:2]]],
+                             ids=[*FAMILIES, "mixed"])
+    def test_stack_equals_each_bundle(self, rng, family):
+        """One call on a (T, n, m) stack of allocations gives every buyer's
+        corresponding price bit for bit as corresponding_price does."""
+        market = random_fisher_market(family, 5, 7, rng)
+        X = rng.uniform(0.05, 1.0, (4, 5, 7))
+        Q = corresponding_prices(*market.share_rows, X, market.budgets)
+        for t in range(len(X)):
+            for i, u in enumerate(market.utilities):
+                want = corresponding_price(u, X[t, i], market.budgets[i])
+                assert Q[t, i].tobytes() == want.tobytes()
 
     def test_boundary_rejected(self):
         u = CES(weights=[1.0, 1.0], rho=0.5)

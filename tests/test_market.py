@@ -33,21 +33,26 @@ def test_nonpositive_weight_rejected():
         CES(weights=[0.0, 1.0], rho=0.5)
 
 
-@pytest.mark.parametrize("make", [
+by_family = pytest.mark.parametrize("make", [
     lambda w: CobbDouglas(weights=w),
     lambda w: CES(weights=w, rho=0.5),
     lambda w: SeparablePower(weights=w, exponents=[0.5, 0.5]),
 ], ids=["cobb_douglas", "ces", "separable_power"])
+
+
+@by_family
 def test_nonfinite_weight_rejected(make):
     for bad in (np.inf, np.nan):
         with pytest.raises(UtilityParamInvalid, match="finite"):
             make([bad, 1.0])
 
 
-def test_cobb_douglas_weights_with_infinite_sum_rejected():
-    # Normalizing by an infinite sum would turn every weight into NaN.
+@by_family
+def test_weights_with_infinite_sum_rejected(make):
+    # Normalizing by an infinite sum would turn every weight into NaN, and
+    # the share kernel's normalizer sum_j c_j x_j^{r_j} could overflow.
     with pytest.raises(UtilityParamInvalid, match="finite sum"):
-        CobbDouglas(weights=[1e308, 1e308])
+        make([1e308, 1e308])
 
 
 def test_overlapping_endowments_rejected():

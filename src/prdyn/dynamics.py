@@ -15,7 +15,9 @@ positive price_tol the stop test, once per row of the sequences it is
 given, writing with ``out=`` ufuncs into arrays its caller owns,
 allocating nothing and returning the number of steps it took. ``pr_step``
 and ``lazy_step`` call it on one row. The run driver ``_run`` calls it once
-per preallocated block of ``block_rows(market)`` steps: each step reads
+per preallocated block of steps: ``block_rows(market)`` steps, except in a
+run's first ``block_rows(market)`` steps, which go in a block of the
+remainder and then blocks of ``CYCLE_STRIDE`` = 64 steps. Each step reads
 the state from one row of the block and writes its prices into that row
 and the next state into the row after it (the first row of the following
 block, after a block's last row). The rest is settled once per block from
@@ -27,27 +29,34 @@ Every value is bit-identical to evaluating it step by step.
 In float arithmetic the dynamics does more than converge, as the paper
 shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
 an exact cycle and repeats bit for bit, typically with a period of a few
-steps: the 15 markets of the benchmark's exchange-long pool (seed 90001)
-enter it at step 76-189 with period 1-3, and the 12 x 16 mixed Fisher
-market of tests/test_dynamics.py has period 6. The map is a pure function
-of the bits of (b, B), and it overwrites all of its scratch at every step,
-so once s_{k+P} = s_k every later row, bids, bank balances, prices and
-allocation, repeats with period P. After each full block it stepped, the
-driver therefore looks for the state after the block among the block's
-rows, bit for bit (``_cycle``). When it finds it, it steps no more
-(``_repeat``): the step after the block is P steps after the cycle's first,
-so it starts the cycle again, and the cycle's P rows of the stepped block,
-with the cycle's stop deltas, are tiled once into one read-only buffer of
-the whole cycles that fit in a block. Every later block of the trace is a
-TraceBlock of views of that buffer's first rows, with an iteration array of
-its own. Those blocks take no floor check, no stop-delta pass and no
-budget-drift read: each of their rows is a row of the cycle, checked and
-settled when it was stepped, so none of them can change a result. It does
-not repeat the cycle when a step of the cycle moves the stop quantity by
-less than price_tol: stepping on then stops the run within P steps. So a
-run that cycles steps at most the steps to the cycle's onset, P and one
-block, its later rows are the stepped ones bit for bit, and its trace holds
-the stepped rows, at most one block of the cycle and an iteration per row.
+steps: the 45 markets of the benchmark's exchange-long pools (seeds 90001,
+24000 and 7) enter it at step 76-197 with period 1-8, and the 12 x 16
+mixed Fisher market of tests/test_dynamics.py has period 6. The map is a
+pure function of the bits of (b, B), and it overwrites all of its scratch
+at every step, so once s_{k+P} = s_k every later row, bids, bank balances,
+prices and allocation, repeats with period P. After each block it stepped,
+the driver therefore looks for the state after the block among the
+block's rows, bit for bit (``_cycle``). It finds a cycle at the end of the
+first block of at least P rows that ends at or after onset + P: within
+``CYCLE_STRIDE`` steps of it when P <= ``CYCLE_STRIDE`` and onset + P falls
+in the run's first ``block_rows`` steps. A run of those 45 markets steps
+85-213 rows, where it stepped a whole first block of 1 365 rows (4 x 6) or
+341 rows (8 x 12) when the cycle was looked for only after full blocks.
+When it finds the cycle, it steps no more (``_repeat``): the step after
+the block is P steps after the cycle's first, so it starts the cycle
+again, and the cycle's P rows of the stepped block, with the cycle's stop
+deltas, are tiled once into one read-only buffer of the whole cycles that
+fit in a block. Every later block of the trace is a TraceBlock of views of
+that buffer's first rows, with an iteration array of its own. Those blocks
+take no floor check, no stop-delta pass and no budget-drift read: each of
+their rows is a row of the cycle, checked and settled when it was stepped,
+so none of them can change a result. It does not repeat the cycle when a
+step of the cycle moves the stop quantity by less than price_tol: stepping
+on then stops the run within P steps. So a run that cycles steps fewer
+than onset + P + ``CYCLE_STRIDE`` steps in that case, and at most onset + P
+and one block otherwise; its later rows are the stepped ones bit for bit,
+and its trace holds the stepped rows, at most one block of the cycle and
+an iteration per row.
 The trace records the cycle as ``DynamicsTrace.cycle``.
 """
 
@@ -81,6 +90,18 @@ from .market import (
 # on its way to a boundary allocation, and also on near-linear CES markets
 # (every rho = 0.999), whose interior equilibrium bids lie below float range.
 BID_FLOOR = 1e-280
+
+# The rows of the stepped blocks of a run's first block_rows(market) steps:
+# a block of the remainder, then blocks of CYCLE_STRIDE rows. _cycle looks
+# for the exact cycle after each stepped block, so a run that enters one of
+# period P <= CYCLE_STRIDE at step onset, with onset + P within its first
+# block_rows steps, stops stepping before onset + P + CYCLE_STRIDE, not at
+# the end of that first block. The remainder goes first so that the last of
+# these blocks ends at block_rows, as a whole first block did, with
+# CYCLE_STRIDE rows: no cycle of period P <= CYCLE_STRIDE is found later.
+# A 20 000-step exchange-long run took about as long at strides 16 to 96,
+# and longer at 128 and 256.
+CYCLE_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -287,8 +308,8 @@ def _keep(blocks: list, rows: TraceBlock, start: int, full: bool, record_every: 
 
 
 def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: float):
-    """The exact cycle a run has entered, found from the full block `steps`,
-    its stop quantities `stops` and the state after it, in row 0 of
+    """The exact cycle a run has entered, found from the stepped block
+    `steps`, its stop quantities `stops` and the state after it, in row 0 of
     `following`. When that state repeats a row of the block bit for bit, the
     nearest such row k starts a cycle of P = len(steps) - k steps: the map
     is a pure function of the state's bits, so every later row repeats row
@@ -315,7 +336,7 @@ def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: flo
 def _repeat(blocks: list, steps: TraceBlock, k: int, moves: np.ndarray, t: int, end: int,
             size: int, record_every: int):
     """Add to blocks the steps t, t + 1, ... up to end - 1 that follow the
-    full block `steps`, for a run that repeats the block's rows from row k
+    stepped block `steps`, for a run that repeats the block's rows from row k
     on with the stop deltas `moves` that _cycle returned. Step t is
     P = len(moves) steps after the cycle's first, so step t + i is row
     k + i mod P. The cycle's rows and deltas are tiled once, from row k,
@@ -349,7 +370,11 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     record_every-th iteration is recorded, plus always the final one.
 
     Each block is one call of the stepper, on the block's rows as lists of
-    row views, built once per block. Step k of a block reads the state in
+    row views, built once per block. A block has block_rows(market) rows,
+    but the run's first block_rows(market) steps go in a block of the
+    remainder and then blocks of CYCLE_STRIDE rows, so that the cycle is
+    looked for every CYCLE_STRIDE steps there; their boundaries include
+    every boundary of whole blocks. Step k of a block reads the state in
     row k of the block and writes its prices there and the next state into
     row k + 1; the last step writes it into row 0 of the following block, so
     no state is copied between blocks. A block with a row of its own for
@@ -360,14 +385,15 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     the block's stop deltas into its stop_delta, with the stepper's
     subtract, abs and max, and the run stops on the last one, so `done`,
     the stop reason and the trace's stop deltas cannot disagree. The
-    allocations go to one scratch block reused for the whole run, so the
-    stop quantity of a block's last step goes on into the next block as a
-    copy, for the stop test and the stop delta of its first step. The steps
+    allocations go to one scratch block, of the rows of the largest block,
+    reused for the whole run, so the stop quantity of a block's last step
+    goes on into the next block as a copy, for the stop test and the stop
+    delta of its first step. The steps
     run with numpy's floating-point warnings off, and the next bids of a
     block's steps are checked against BID_FLOOR once the block is done: the
     run raises at the same iteration as a step-by-step loop, and nothing
     that follows the crossing is kept.
-    Once a full block shows the exact cycle the run has entered, and no
+    Once a stepped block shows the exact cycle the run has entered, and no
     step of the cycle stops the run, the rest of the run is views of the
     cycle's rows (_repeat; see the module docstring). The kept blocks, the
     budget drift and the cycle are collected as the run goes, and the trace
@@ -381,9 +407,9 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     step_rows = _pr_map(market)
     tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
     blocks, drift, cycle = [], 0.0, None
-    size = block_rows(market)
-    steps = TraceBlock.empty(market, min(size, end - t))
-    allocation = np.empty((len(steps), *bids.shape))
+    size, first = block_rows(market), t
+    steps = TraceBlock.empty(market, min((size - 1) % CYCLE_STRIDE + 1, end - t))
+    allocation = np.empty((min(size, end - t), *bids.shape))
     x_rows = list(allocation)  # the scratch serves every block
     steps.bids[0] = bids
     if exchange:
@@ -394,7 +420,8 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
             start = t
             # the last step writes the next state into row 0 of the following
             # block, a block of one row when the run ends with this one
-            following = TraceBlock.empty(market, max(1, min(size, end - t - len(steps))))
+            length = CYCLE_STRIDE if t + len(steps) - first < size else size
+            following = TraceBlock.empty(market, max(1, min(length, end - t - len(steps))))
             bid_rows = list(steps.bids)
             bid_rows.append(following.bids[0])
             if exchange:

@@ -19,6 +19,7 @@ from prdyn.cli import (
 )
 from prdyn.errors import ParseError, PrdynError, UnderflowDetected, UtilityParamInvalid
 from prdyn.market import DynamicsTrace
+from test_dynamics import count_steps
 from test_equilibrium import near_linear_fisher_market
 
 
@@ -679,6 +680,27 @@ class TestVerify:
             "--out", str(verify_out),
         ])
         assert run_code == verify_code == expected
+        run_doc = (run_out / "diagnostics.json").read_bytes()
+        assert (verify_out / "diagnostics.json").read_bytes() == run_doc
+
+    @pytest.mark.parametrize("mode", ["fisher", "exchange"])
+    def test_verify_of_a_long_cycling_dump_steps_to_its_cycle(self, tmp_path, monkeypatch, mode):
+        """verify re-runs a 20 000-step dump one stored block at a time, and
+        each re-run finds the exact cycle in its first CYCLE_STRIDE-row
+        blocks: it steps a few rows a block, not every row, and still
+        writes run's diagnostics.json."""
+        mfile, run_out, verify_out = tmp_path / "m.json", tmp_path / "run", tmp_path / "verify"
+        main(["gen", "4", "5", "ces", "--mode", mode, "--seed", "3", "--out", str(mfile)])
+        assert main([
+            "run", "--market", str(mfile), "--price-tol", "0", "--max-iters", "20000",
+            "--full-dump", "--diagnostics", "--out", str(run_out),
+        ]) == 0
+        stepped = count_steps(monkeypatch)
+        assert main([
+            "verify", "--market", str(mfile), "--trace", str(run_out / "trace.csv"),
+            "--out", str(verify_out),
+        ]) == 0
+        assert 0 < stepped[0] < 2000
         run_doc = (run_out / "diagnostics.json").read_bytes()
         assert (verify_out / "diagnostics.json").read_bytes() == run_doc
 

@@ -37,6 +37,7 @@ from prdyn import (
     transform_exchange_equilibrium,
     validate_market,
 )
+from prdyn import dynamics
 from prdyn.cli import generate_market
 from prdyn.dynamics import BID_FLOOR, _cycle, _pr_map
 from prdyn.errors import (
@@ -342,14 +343,21 @@ def count_steps(monkeypatch) -> list:
 
 
 def steps_taken(reference, onset, period, rows) -> int:
-    """The steps a run in blocks of `rows` steps takes before it fills. It
-    finds the cycle at the end of the first block whose last P rows lie in
-    it, and fills from there on, unless P > rows, where no block holds a
-    whole cycle, or a step of the cycle stops the run."""
+    """The steps a run in blocks of `rows` steps takes before it fills. Its
+    first `rows` steps go in a block of (rows - 1) % CYCLE_STRIDE + 1 steps
+    and then blocks of CYCLE_STRIDE steps, its later ones in blocks of
+    `rows`. The run finds the cycle at the end of the first block that
+    holds P steps and ends at or after onset + P, and fills from there on,
+    unless no such block ends before the run does, or a step of the cycle
+    stops the run."""
     _, _, n_steps, stop_reason = reference
-    if stop_reason == "price_tol" or period > rows:
-        return n_steps
-    return min(n_steps, rows * -(-(onset + period) // rows))
+    end, size = 0, (rows - 1) % dynamics.CYCLE_STRIDE + 1
+    while stop_reason == "max_iters" and end < n_steps:
+        end += size
+        if size >= period and end >= onset + period:
+            return min(n_steps, end)
+        size = dynamics.CYCLE_STRIDE if end < rows else rows
+    return n_steps
 
 
 @pytest.mark.parametrize("record_every", [1, 7, 20000])
@@ -390,17 +398,36 @@ def test_cycle_fill_at_any_row_of_a_block(cycling, monkeypatch, name, price_tol)
 
 @pytest.mark.parametrize("name", CYCLING)
 def test_cycling_run_steps_only_to_its_cycle(cycling, monkeypatch, name):
-    """A 20 000-step run of a cycling market steps at most its onset, its
-    period and one driver block, and copies the rest from the cycle."""
+    """A 20 000-step run of a cycling market whose onset + period lies in
+    its first driver block steps at most its onset, its period and
+    CYCLE_STRIDE steps, and copies the rest from the cycle."""
     market, references, onset, period = cycling[name]
     stepped = count_steps(monkeypatch)
     trace = stepper(market)[2](StopRule(20000, 0.0), 20000)
     assert (trace.n_steps, trace.stop_reason) == (20000, "max_iters")
-    assert stepped[0] <= onset + period + BLOCK_ENTRIES // (market.n_buyers * market.n_goods)
+    assert stepped[0] <= onset + period + dynamics.CYCLE_STRIDE
     first, last = trace.records  # the state of step 19 999 is that of the cycle's phase
     same = references[0.0][0][onset + (19999 - onset) % period]
     assert bits(first) == bits(references[0.0][0][0])
     assert bits(last)[2:] == bits(same)[2:]
+
+
+STRIDE_STEPS = 1500  # past the first full driver block after the stride ones, at 6 x 8
+
+
+@pytest.mark.parametrize("name", ["fisher-P2", "exchange-P2", "exchange-P3", "fisher-P6"])
+def test_cycle_longer_than_the_stride_is_found_in_a_full_block(monkeypatch, name):
+    """With CYCLE_STRIDE below the period no stride block holds a whole
+    cycle: the run steps on and finds it in its first full block."""
+    market = CYCLING[name]()
+    reference = reference_run(market, STRIDE_STEPS, 0.0)
+    onset, period = cycle_of(reference[0])
+    monkeypatch.setattr("prdyn.dynamics.CYCLE_STRIDE", period - 1)
+    stepped = count_steps(monkeypatch)
+    trace = stepper(market)[2](StopRule(STRIDE_STEPS, 0.0))
+    assert_matches_reference(trace, reference, 1)
+    assert trace.cycle is not None
+    assert stepped[0] == steps_taken(reference, onset, period, block_rows(market))
 
 
 def diagnostics_bits(market, trace):

@@ -12,9 +12,12 @@ exact after one step on a row with a constant exponent. demand_jacobian
 differentiates the same rows in log p for the equilibrium oracle. Demand
 shares no iteration with the dynamics; the corresponding price q = e * s / x
 uses its share kernel, in one function, corresponding_prices, which the
-oracle's KKT residual and the Lemma 3.3 check call too. As both read the
-share rows, the checks on each family's row are made against the family's
-own gradient, eval_gradient:
+oracle's KKT residual and lemma_33_check call too. The PR map re-bids
+b' = e * s(x) with the same kernel, so diagnose_fisher reads a run's
+corresponding prices as b' / x and calls corresponding_prices only for the
+trace's last row. As demand and corresponding_prices both read the share
+rows, the checks on each family's row are made against the family's own
+gradient, eval_gradient:
 test_demand's TestFamilyGradient::test_demand_meets_kkt and
 TestCorrespondingPrice::test_round_trip.
 """

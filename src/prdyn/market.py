@@ -8,8 +8,9 @@ A DynamicsTrace stores the PR state of the recorded iterations, the state a
 full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
 derived when read. This module owns the trace's layout and bookkeeping:
 the rows a block holds (``block_rows``), the budget drift
-(``budget_drift``) and, on a run that entered an exact cycle, how a per-row
-series is tiled over the cycle's rows (``DynamicsTrace.per_row``).
+(``budget_drift``) and, on a run that entered an exact cycle, which blocks
+hold its distinct rows and how a per-row series is tiled over the cycle's
+rows (``DynamicsTrace.distinct_blocks`` and ``per_row``).
 """
 
 from __future__ import annotations
@@ -273,8 +274,8 @@ class DynamicsTrace:
     onset + (t - onset) mod period. The driver stepped the iterations
     before onset + period, and its later blocks are read-only views of one
     buffer of the cycle's rows. It is None on a trace that did not cycle
-    and on one built by ``stacked``. ``per_row`` reads it to evaluate each
-    distinct row of a cycling trace once.
+    and on one built by ``stacked``. ``distinct_blocks`` and ``per_row`` read
+    it to evaluate each distinct row of a cycling trace once.
     """
 
     mode: Mode
@@ -304,22 +305,33 @@ class DynamicsTrace:
         """Every recorded row, oldest first, as views of the stored blocks."""
         return _Rows(self.blocks)
 
-    def per_row(self, series) -> np.ndarray:
-        """series(block), an array of one value per row of a block, for every
-        row of a consecutive trace. On a trace that cycles from iteration
-        onset on with period P, the blocks after the one that holds row
-        onset + P - 1 are not evaluated: row t takes the value of row
-        onset + (t - onset) mod P. A row has the same bits alone or inside a
-        block, so this is bit for bit what evaluating every row gives."""
-        values = np.empty(len(self.records))
+    def distinct_blocks(self) -> List[TraceBlock]:
+        """The blocks that hold every distinct row: on a trace that cycles
+        from iteration onset on with period P, the blocks up to the one that
+        holds row onset + P - 1; on any other trace, every block."""
         done = 0
-        for block in self.blocks:
-            values[done:done + len(block)] = series(block)
+        for k, block in enumerate(self.blocks):
             done += len(block)
             if self.cycle is not None and done >= sum(self.cycle):
-                onset, period = self.cycle
-                values[done:] = values[onset + (np.arange(done, len(values)) - onset) % period]
-                break
+                return self.blocks[:k + 1]
+        return self.blocks
+
+    def per_row(self, series) -> np.ndarray:
+        """series(block, after), the values of each row of a block (an array
+        with a leading axis of its rows) given the block after it (None
+        after the last), for every row of a consecutive trace. It evaluates
+        the distinct_blocks only: on a trace that cycles from iteration
+        onset on with period P, a later row t takes the values of row
+        onset + (t - onset) mod P. A row has the same bits alone or inside a
+        block, so this is bit for bit what evaluating every row gives."""
+        blocks = self.distinct_blocks()
+        values = np.concatenate([series(block, after)
+                                 for block, after in zip(blocks, [*self.blocks[1:], None])])
+        done, total = len(values), len(self.records)
+        if done < total:
+            onset, period = self.cycle
+            phase = np.arange(done - onset, total - onset) % period
+            values = np.concatenate((values, values[onset:][phase]))
         return values
 
     def is_consecutive(self) -> bool:

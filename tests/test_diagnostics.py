@@ -334,6 +334,23 @@ def _block_records(market):
     return BLOCK_ENTRIES // (market.n_buyers * market.n_goods)
 
 
+def _pass_gaps(market, eq, trace):
+    """The per-row Lemma 3.3 gaps of diagnose_fisher's pass, the last of the
+    per-row series it has DynamicsTrace.per_row evaluate, and its report."""
+    seen = []
+    per_row = DynamicsTrace.per_row
+
+    def spy(self, series):
+        seen.append(per_row(self, series))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DynamicsTrace, "per_row", spy)
+        report = diagnose_fisher(trace, market, eq)
+    (series,) = seen
+    return series[:, -1], report
+
+
 MIXED_8 = ["separable_power", "ces", "cobb_douglas"] * 2 + ["separable_power", "ces"]
 
 
@@ -414,8 +431,30 @@ class TestBlockSeams:
         got = [lemma_33_check(market, eq, r.allocation) for r in trace.records]
         np.testing.assert_allclose(got, gaps, rtol=1e-12, atol=1e-15)
         report = diagnose_fisher(trace, market, eq)
-        assert report.lemma_gap_min == pytest.approx(min(gaps), rel=1e-12)
+        assert report.lemma_gap_min == min(got)
         assert report.passed
+
+    @pytest.mark.parametrize("case", ["seams", "price_tol", "one-row-blocks"])
+    def test_pass_gaps_are_those_of_lemma_33_check(self, fisher_run, monkeypatch, case):
+        """The pass reads row t's corresponding prices as the next row's bids
+        over its allocation, and the last row's from corresponding_prices:
+        bit for bit the gap lemma_33_check gives each row. The seams trace
+        crosses block seams and cycles; the price_tol run's last row goes
+        through the kernel; blocks of one row put every row on a seam."""
+        market, eq, trace = fisher_run
+        if case == "one-row-blocks":
+            monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", market.n_buyers * market.n_goods)
+        if case != "seams":
+            stop = StopRule(5000, 1e-12) if case == "price_tol" else StopRule(300, 0.0)
+            trace = run_fisher(market, default_initial_bids(market), stop)
+        assert len(trace.blocks) > 1  # at least one seam
+        assert (trace.stop_reason == "price_tol") == (case == "price_tol")
+        assert (trace.cycle is not None) == (case != "price_tol")
+        assert (max(map(len, trace.blocks)) == 1) == (case == "one-row-blocks")
+        got, report = _pass_gaps(market, eq, trace)
+        expected = np.array([lemma_33_check(market, eq, r.allocation) for r in trace.records])
+        assert got.tobytes() == expected.tobytes()
+        assert report.lemma_gap_min == expected.min()
 
     def test_bad_record_in_second_block(self, fisher_run, exchange_run):
         market, eq, trace = fisher_run

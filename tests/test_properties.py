@@ -5,6 +5,7 @@ potential diagnostics along whole runs. Derandomized, so every process draws
 the same instances."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -38,6 +39,7 @@ from prdyn import (
 from prdyn.utilities import shares
 
 from conftest import FAMILIES, random_fisher_market
+from test_dynamics import assert_matches_reference, bits, reference_run, stepper
 from test_equilibrium import assert_verified
 from test_exchange import random_exchange_market
 
@@ -231,3 +233,42 @@ def test_fisher_run_passes_diagnostics(market):
     assert trace.stop_reason == "price_tol"
     report = diagnose_fisher(trace, market, eq)
     assert report.passed, (report.monotone_violations[:3], report.lemma_gap_min)
+
+
+@st.composite
+def driver_cases(draw):
+    """A market of up to 3 x 4 of one family in either mode, a stop rule, a
+    record_every and the driver's block rows and cycle stride."""
+    mode = draw(st.sampled_from(list(Mode)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 if mode is Mode.FISHER else min(3, m)))
+    family = draw(st.sampled_from(FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mode is Mode.FISHER:
+        market = random_fisher_market(family, n, m, rng)
+    else:
+        alpha = draw(st.floats(0.05, 0.95))
+        market = random_exchange_market(family, n, m, rng, alpha, alpha)
+    # sampled_from draws max_iters uniformly; integers() favours small ones
+    max_iters = draw(st.sampled_from(range(1, 500)))
+    stop = StopRule(max_iters, draw(st.sampled_from([0.0, 1e-300, 1e-13, 1e-9, 1e-4])))
+    return market, stop, draw(st.integers(1, 11)), draw(st.integers(1, 69)), draw(st.integers(1, 79))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(driver_cases())
+def test_run_driver_matches_the_per_step_reference(case):
+    # the remainder block, the CYCLE_STRIDE blocks, the cycle tail, the
+    # in-loop stop test and _keep against one pr_step / lazy_step at a time
+    market, stop, record_every, rows, stride = case
+    reference = reference_run(market, stop.max_iters, stop.price_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        patch.setattr("prdyn.dynamics.CYCLE_STRIDE", stride)
+        trace = stepper(market)[2](stop, record_every)
+    assert_matches_reference(trace, reference, record_every)
+    if trace.cycle is not None:  # every later state repeats the cycle's, bit for bit
+        onset, period = trace.cycle
+        records = reference[0]
+        for t in range(onset, len(records)):
+            assert bits(records[t])[2:] == bits(records[onset + (t - onset) % period])[2:]

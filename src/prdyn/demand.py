@@ -52,8 +52,8 @@ class DemandResult:
 
 def _check_price(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if not np.all(p > 0):
-        raise NonPositivePrice(f"prices must be strictly positive, got {p}")
+    if not np.all(np.isfinite(p) & (p > 0)):
+        raise NonPositivePrice(f"prices must be finite and strictly positive, got {p}")
     return p
 
 
@@ -112,11 +112,12 @@ def demand_jacobian(
 def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
     """Utility-maximizing bundle under budget e at prices p, spending e to
     relative tolerance tol. A tol that is not >= 0, such as NaN, which no
-    spending meets, raises InvalidRunControl."""
+    spending meets, raises InvalidRunControl. Prices and the budget must be
+    finite and strictly positive."""
     p = _check_price(p)
     e = float(e)
-    if e <= 0:
-        raise NonPositiveBudget(f"budget must be strictly positive, got {e}")
+    if not 0 < e < np.inf:
+        raise NonPositiveBudget(f"budget must be finite and strictly positive, got {e}")
     if not tol >= 0:
         raise InvalidRunControl(f"tol must be nonnegative, got {tol}")
     C, R = share_row(u)
@@ -133,7 +134,7 @@ def corresponding_prices(C: np.ndarray, R: np.ndarray, X: np.ndarray, e) -> np.n
 
 
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:
-    """The unique price vector at which the strictly positive bundle x is optimal.
+    """The unique price vector at which the finite, strictly positive bundle x is optimal.
 
     q_j = e * grad_j u(x) / sum_k x_k grad_k u(x) = e * bid_shares(u, x)_j / x_j.
     """

@@ -8,56 +8,60 @@ the revenue of the goods she owns, and total money is conserved at 1. A
 Fisher market is the special case alpha = 1 with income equal to the fixed
 budget, so B' = e' = budgets exactly.
 
-``_pr_map`` resolves a market's constants (the share rows, alpha, 1 - alpha,
-the ownership matrix or the budgets) once and returns the one block
-stepper: a loop that takes the PR map, and when the stop rule has a
+``_pr_map`` resolves a market's constants (the share rows, alpha,
+1 - alpha, the ownership matrix or the budgets) once and returns the one
+block stepper: a loop that takes the PR map, and when the stop rule has a
 positive price_tol the stop test, once per row of the sequences it is
-given, writing with ``out=`` ufuncs into arrays its caller owns,
-allocating nothing and returning the number of steps it took. ``pr_step``
-and ``lazy_step`` call it on one row. The run driver ``_run`` calls it once
-per preallocated block of steps: ``block_rows(market)`` steps, except in a
-run's first ``block_rows(market)`` steps, which go in a block of the
-remainder and then blocks of ``CYCLE_STRIDE`` = 64 steps. Each step reads
-the state from one row of the block and writes its prices into that row
-and the next state into the row after it (the first row of the following
-block, after a block's last row). The rest is settled once per block from
-the stacked state: the BID_FLOOR check of the next bids, the stop delta of
-every step, on which the run stops, the budget drift over the bank
-balances of every step, recorded or not, and which rows the trace keeps.
-Every value is bit-identical to evaluating it step by step.
+given, writing with ``out=`` ufuncs into arrays its caller owns, allocating
+nothing and returning the number of steps it took. ``pr_step`` and
+``lazy_step`` call it on one row. The run driver ``_run`` calls it once per
+preallocated block of steps, and every block it steps has the same rows,
+min(``CYCLE_STRIDE``, ``block_rows(market)``): at most 64. This is the one
+block schedule. Each step reads the state from one row of the block and
+writes its prices into that row and the next state into the row after it
+(the first row of the following block, after a block's last row). The rest
+is settled once per block from the stacked state: the BID_FLOOR check of
+the next bids, the stop delta of every step, on which the run stops, the
+budget drift over the bank balances of every step, recorded or not, and
+which rows the trace keeps. Every value is bit-identical to evaluating it
+step by step.
 
 In float arithmetic the dynamics does more than converge, as the paper
 shows for Fisher PR and for lazy-PR allocations: the state (b, B) lands on
 an exact cycle and repeats bit for bit, typically with a period of a few
 steps: the 45 markets of the benchmark's exchange-long pools (seeds 90001,
-24000 and 7) enter it at step 76-197 with period 1-8, and the 12 x 16
-mixed Fisher market of tests/test_dynamics.py has period 6. The map is a
-pure function of the bits of (b, B), and it overwrites all of its scratch
-at every step, so once s_{k+P} = s_k every later row, bids, bank balances,
+24000 and 7) enter it at step 76-197 with period 1-8, and the 12 x 16 mixed
+Fisher market of tests/test_dynamics.py has period 6. The map is a pure
+function of the bits of (b, B), and it overwrites all of its scratch at
+every step, so once s_{k+P} = s_k every later row, bids, bank balances,
 prices and allocation, repeats with period P. After each block it stepped,
-the driver therefore looks for the state after the block among the
-block's rows, bit for bit (``_cycle``). It finds a cycle at the end of the
-first block of at least P rows that ends at or after onset + P: within
-``CYCLE_STRIDE`` steps of it when P <= ``CYCLE_STRIDE`` and onset + P falls
-in the run's first ``block_rows`` steps. A run of those 45 markets steps
-85-213 rows, where it stepped a whole first block of 1 365 rows (4 x 6) or
-341 rows (8 x 12) when the cycle was looked for only after full blocks.
-When it finds the cycle, it steps no more (``_repeat``): the step after
-the block is P steps after the cycle's first, so it starts the cycle
-again, and the cycle's P rows of the stepped block, with the cycle's stop
-deltas, are tiled once into one read-only buffer of the whole cycles that
-fit in a block. Every later block of the trace is a TraceBlock of views of
-that buffer's first rows, with an iteration array of its own. Those blocks
-take no floor check, no stop-delta pass and no budget-drift read: each of
-their rows is a row of the cycle, checked and settled when it was stepped,
-so none of them can change a result. It does not repeat the cycle when a
-step of the cycle moves the stop quantity by less than price_tol: stepping
-on then stops the run within P steps. So a run that cycles steps fewer
-than onset + P + ``CYCLE_STRIDE`` steps in that case, and at most onset + P
-and one block otherwise; its later rows are the stepped ones bit for bit,
-and its trace holds the stepped rows, at most one block of the cycle and
-an iteration per row.
-The trace records the cycle as ``DynamicsTrace.cycle``.
+the driver therefore looks for the state after the block among the block's
+rows, bit for bit (``_cycle``). It finds a cycle of period
+P <= ``CYCLE_STRIDE`` at the end of the first block that ends at or after
+onset + P, so within ``CYCLE_STRIDE`` steps of onset + P at any onset; a
+cycle of a longer period is stepped through. No run has shown one: of 300
+runs of 20 000 steps at price_tol 0 (shapes 2 x 3 to 20 x 24, the three
+families, both modes, seeds 0-2, each also with every rho or exponent at
+0.99), 286 entered a cycle of period 1-24 and 14 exchange runs at 0.99
+repeated no state. A run of those 45 markets steps 128-256 rows, where it
+stepped a whole first block of 1 365 rows (4 x 6) or 341 rows (8 x 12) when
+the cycle was looked for only after full blocks. When it finds the cycle,
+it steps no more (``_repeat``): the step after the block is P steps after
+the cycle's first, so it starts the cycle again, and the cycle's P rows of
+the stepped block, with the cycle's stop deltas, are tiled once
+(``tile_cycle``) into one read-only buffer of the whole cycles that fit in
+a trace block of ``block_rows`` rows. Every later block of the trace is a
+TraceBlock of views of that buffer's first rows, with an iteration array of
+its own. Those blocks take no floor check, no stop-delta pass and no
+budget-drift read: each of their rows is a row of the cycle, checked and
+settled when it was stepped, so none of them can change a result. It does
+not repeat the cycle when a step of the cycle moves the stop quantity by
+less than price_tol: stepping on then stops the run within P steps. So a
+run that cycles with a period P <= ``CYCLE_STRIDE`` steps fewer than
+onset + P + ``CYCLE_STRIDE`` steps; its later rows are the stepped ones bit
+for bit, and its trace holds the stepped rows, at most one block of the
+cycle and an iteration per row. The trace records the cycle as
+``DynamicsTrace.cycle``.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from .market import (
     TraceBlock,
     block_rows,
     budget_drift,
+    tile_cycle,
 )
 
 # Bids this small are about to leave float range, and past them the
@@ -91,16 +96,9 @@ from .market import (
 # (every rho = 0.999), whose interior equilibrium bids lie below float range.
 BID_FLOOR = 1e-280
 
-# The rows of the stepped blocks of a run's first block_rows(market) steps:
-# a block of the remainder, then blocks of CYCLE_STRIDE rows. _cycle looks
-# for the exact cycle after each stepped block, so a run that enters one of
-# period P <= CYCLE_STRIDE at step onset, with onset + P within its first
-# block_rows steps, stops stepping before onset + P + CYCLE_STRIDE, not at
-# the end of that first block. The remainder goes first so that the last of
-# these blocks ends at block_rows, as a whole first block did, with
-# CYCLE_STRIDE rows: no cycle of period P <= CYCLE_STRIDE is found later.
-# A 20 000-step exchange-long run took about as long at strides 16 to 96,
-# and longer at 128 and 256.
+# The most rows of a stepped block; the module docstring gives the block
+# schedule. A 20 000-step exchange-long run took about as long at strides
+# 16 to 96, and longer at 128 and 256.
 CYCLE_STRIDE = 64
 
 
@@ -339,21 +337,22 @@ def _repeat(blocks: list, steps: TraceBlock, k: int, moves: np.ndarray, t: int, 
     stepped block `steps`, for a run that repeats the block's rows from row k
     on with the stop deltas `moves` that _cycle returned. Step t is
     P = len(moves) steps after the cycle's first, so step t + i is row
-    k + i mod P. The cycle's rows and deltas are tiled once, from row k,
-    into a read-only buffer of the size // P whole cycles that fit in a
-    block of `size` rows, at most end - t rows; every block of the tail
-    views the buffer's first rows, so it starts at the cycle's first row,
-    and has an iteration array of its own. _keep copies out the kept rows
-    of a block whose rows are not all kept. Nothing is stepped,
-    floor-checked, given stop deltas or read for the budget drift: every row
-    is a row of the cycle, checked and settled when it was stepped. Returns
-    the cycle as (onset, period)."""
+    k + i mod P. The cycle's rows and deltas are tiled once, from row k, by
+    whole cycles (tile_cycle) into a read-only buffer of the size // P
+    cycles that fit in a block of `size` rows, at most end - t rows; every
+    block of the tail views the buffer's first rows, so it starts at the
+    cycle's first row, and has an iteration array of its own. _keep copies
+    out the kept rows of a block whose rows are not all kept. Nothing is
+    stepped, floor-checked, given stop deltas or read for the budget drift:
+    every row is a row of the cycle, checked and settled when it was
+    stepped. Returns the cycle as (onset, period)."""
     period = len(moves)
-    tile = np.arange(min(size // period * period, end - t)) % period
-    cycle = replace(steps.take(slice(k, None)), stop_delta=moves).take(tile)
+    count = min(size // period * period, end - t)
+    cycle = replace(steps.take(slice(k, None)), stop_delta=moves).map(
+        lambda rows: tile_cycle(rows, count))
     B = cycle.budgets_B
-    for start in range(t, end, len(tile)):
-        n = min(len(tile), end - start)
+    for start in range(t, end, count):
+        n = min(count, end - start)
         iteration = np.arange(start, start + n, dtype=float)
         iteration.flags.writeable = False
         block = TraceBlock(iteration, cycle.prices[:n], cycle.bids[:n], cycle.stop_delta[:n],
@@ -370,14 +369,11 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     record_every-th iteration is recorded, plus always the final one.
 
     Each block is one call of the stepper, on the block's rows as lists of
-    row views, built once per block. A block has block_rows(market) rows,
-    but the run's first block_rows(market) steps go in a block of the
-    remainder and then blocks of CYCLE_STRIDE rows, so that the cycle is
-    looked for every CYCLE_STRIDE steps there; their boundaries include
-    every boundary of whole blocks. Step k of a block reads the state in
-    row k of the block and writes its prices there and the next state into
-    row k + 1; the last step writes it into row 0 of the following block, so
-    no state is copied between blocks. A block with a row of its own for
+    row views, built once per block; the module docstring gives the block
+    schedule. Step k of a block reads the state in row k of the block and
+    writes its prices there and the next state into row k + 1; the last
+    step writes it into row 0 of the following block, so no state is copied
+    between blocks. A block with a row of its own for
     the next state would hold that row in the trace too, as a kept block
     joins it as it is: where a block is one row (n * m > BLOCK_ENTRIES / 2,
     200 x 200 for one), that would double the bids the trace holds. The
@@ -385,10 +381,9 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     the block's stop deltas into its stop_delta, with the stepper's
     subtract, abs and max, and the run stops on the last one, so `done`,
     the stop reason and the trace's stop deltas cannot disagree. The
-    allocations go to one scratch block, of the rows of the largest block,
-    reused for the whole run, so the stop quantity of a block's last step
-    goes on into the next block as a copy, for the stop test and the stop
-    delta of its first step. The steps
+    allocations go to one scratch block, reused for the whole run, so the
+    stop quantity of a block's last step goes on into the next block as a
+    copy, for the stop test and the stop delta of its first step. The steps
     run with numpy's floating-point warnings off, and the next bids of a
     block's steps are checked against BID_FLOOR once the block is done: the
     run raises at the same iteration as a step-by-step loop, and nothing
@@ -407,9 +402,9 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     step_rows = _pr_map(market)
     tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
     blocks, drift, cycle = [], 0.0, None
-    size, first = block_rows(market), t
-    steps = TraceBlock.empty(market, min((size - 1) % CYCLE_STRIDE + 1, end - t))
-    allocation = np.empty((min(size, end - t), *bids.shape))
+    size = min(CYCLE_STRIDE, block_rows(market))
+    steps = TraceBlock.empty(market, min(size, end - t))
+    allocation = np.empty((len(steps), *bids.shape))
     x_rows = list(allocation)  # the scratch serves every block
     steps.bids[0] = bids
     if exchange:
@@ -420,15 +415,11 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
             start = t
             # the last step writes the next state into row 0 of the following
             # block, a block of one row when the run ends with this one
-            length = CYCLE_STRIDE if t + len(steps) - first < size else size
-            following = TraceBlock.empty(market, max(1, min(length, end - t - len(steps))))
-            bid_rows = list(steps.bids)
-            bid_rows.append(following.bids[0])
-            if exchange:
-                balance_rows = list(steps.budgets_B)
-                balance_rows.append(following.budgets_B[0])
-            else:  # the Fisher map reads no bank balances
-                balance_rows = [None] * len(bid_rows)
+            following = TraceBlock.empty(market, max(1, min(size, end - t - len(steps))))
+            bid_rows = [*steps.bids, following.bids[0]]
+            # the Fisher map reads no bank balances
+            balance_rows = ([*steps.budgets_B, following.budgets_B[0]] if exchange
+                            else [None] * len(bid_rows))
             count = step_rows(bid_rows, balance_rows, steps.prices, x_rows,
                               balance_rows[1:], bid_rows[1:], tol, prev)
             t = start + count
@@ -448,7 +439,7 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                 break
             found = _cycle(steps, following, stops, tol)
             if found is not None:  # no step of the cycle stops the run: repeat it, don't step it
-                cycle = _repeat(blocks, steps, *found, t, end, size, record_every)
+                cycle = _repeat(blocks, steps, *found, t, end, block_rows(market), record_every)
                 t = end
                 break
             steps = following
@@ -463,8 +454,7 @@ def run_fisher(
     record_every: int = 1,
 ) -> DynamicsTrace:
     """Run Fisher PR from bids b0; the stop quantity is the price vector."""
-    bids = np.asarray(b0, dtype=float)
-    return _run(market, bids, None, None, 0, stop, record_every)
+    return _run(market, np.asarray(b0, dtype=float), None, None, 0, stop, record_every)
 
 
 def run_exchange(
@@ -475,6 +465,5 @@ def run_exchange(
 ) -> DynamicsTrace:
     """Run lazy PR from init; the stop quantity is the allocation. init's
     spend_e must be laziness * budgets_B bit for bit."""
-    return _run(
-        market, init.bids, init.budgets_B, init.spend_e, init.iteration, stop, record_every
-    )
+    return _run(market, init.bids, init.budgets_B, init.spend_e, init.iteration, stop,
+                record_every)

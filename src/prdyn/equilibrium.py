@@ -201,7 +201,9 @@ class TransformedEquilibrium:
     """Exchange equilibrium mapped into the lazy dynamics' state variables.
 
     Per-agent income is rescaled so total bank money is exactly 1, matching
-    the dynamics' money-conservation invariant.
+    the dynamics' money-conservation invariant. e_star is laziness * B_star
+    bit for bit, as a trace derives e, so equilibrium_exchange_state is a
+    state run_exchange accepts at any laziness.
     """
 
     b_star: np.ndarray
@@ -218,10 +220,11 @@ def transform_exchange_equilibrium(
     revenue = income(market, eq.p_star)
     B_tilde = revenue / alpha
     scale = float(B_tilde.sum())
+    B_star = B_tilde / scale
     return TransformedEquilibrium(
         b_star=eq.x_star * eq.p_star / scale,
-        e_star=revenue / scale,
-        B_star=B_tilde / scale,
+        e_star=alpha * B_star,
+        B_star=B_star,
         p_star=eq.p_star / scale,
         x_star=eq.x_star,
     )

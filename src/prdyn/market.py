@@ -9,8 +9,8 @@ full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
 derived when read. This module owns the trace's layout and bookkeeping:
 the rows a block holds (``block_rows``), the budget drift
 (``budget_drift``) and, on a run that entered an exact cycle, which blocks
-hold its distinct rows and how a per-row series is tiled over the cycle's
-rows (``DynamicsTrace.distinct_blocks`` and ``per_row``).
+hold its distinct rows and how rows are tiled by whole cycles
+(``DynamicsTrace.distinct_blocks``, ``tile_cycle`` and ``per_row``).
 """
 
 from __future__ import annotations
@@ -31,18 +31,19 @@ from .errors import (
 )
 from .utilities import UtilitySpec, share_row
 
-# Bids in one block of a trace, and in one block of steps that the run driver
-# settles at once. A block holds as many rows or steps as fit in
-# BLOCK_ENTRIES (at least one), so each stacked array stays near 256 KB
-# whatever the trace length or market size. A fixed row count does not
-# bound memory: blocks of 1024 records raised the peak memory of
-# `prdyn run --diagnostics` and `verify` on 60x60 Fisher markets by 16 %.
+# Bids in one block of a trace, and at most in one block of steps that the
+# run driver settles at once (prdyn.dynamics gives its block schedule). A
+# block holds as many rows as fit in BLOCK_ENTRIES (at least one), so each
+# stacked array stays near 256 KB whatever the trace length or market size.
+# A fixed row count does not bound memory: blocks of 1024 records raised the
+# peak memory of `prdyn run --diagnostics` and `verify` on 60x60 Fisher
+# markets by 16 %.
 BLOCK_ENTRIES = 1 << 15
 
 
 def block_rows(market: MarketSpec) -> int:
-    """The rows of one block of market's trace, and the steps of one block
-    of the run driver."""
+    """The rows of one block of market's trace; the run driver steps at most
+    this many at once (see prdyn.dynamics)."""
     return max(1, BLOCK_ENTRIES // (market.n_buyers * market.n_goods))
 
 
@@ -204,8 +205,11 @@ class TraceBlock:
 
     def take(self, rows) -> "TraceBlock":
         """The rows `rows` as read-only arrays: views for a slice, a copy for a mask."""
-        taken = {name: getattr(self, name)[rows] for name in _STACKED
-                 if getattr(self, name) is not None}
+        return self.map(lambda stacked: stacked[rows])
+
+    def map(self, f) -> "TraceBlock":
+        """The block of f(a) for each stacked array a, made read-only."""
+        taken = {name: f(a) for name in _STACKED if (a := getattr(self, name)) is not None}
         for a in taken.values():
             a.flags.writeable = False
         return replace(self, **taken)
@@ -236,7 +240,10 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    def __getitem__(self, k: int) -> TraceBlock:
+    def __getitem__(self, k):
+        """Row k, or the list of the rows of a slice."""
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]  # IndexError when out of range
         for block in self.blocks:
             if k < len(block):
@@ -247,6 +254,12 @@ class _Rows(Sequence):
         for block in self.blocks:
             for k in range(len(block)):
                 yield block.row(k)
+
+
+def tile_cycle(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` rows of a cycle whose P rows, from its first, are
+    `rows`: whole tiles of them along the leading axis, the last cut short."""
+    return np.tile(rows, (-(-count // len(rows)),) + (1,) * (rows.ndim - 1))[:count]
 
 
 def budget_drift(budgets_B: np.ndarray, drift: float = 0.0) -> float:
@@ -321,17 +334,19 @@ class DynamicsTrace:
         with a leading axis of its rows) given the block after it (None
         after the last), for every row of a consecutive trace. It evaluates
         the distinct_blocks only: on a trace that cycles from iteration
-        onset on with period P, a later row t takes the values of row
-        onset + (t - onset) mod P. A row has the same bits alone or inside a
-        block, so this is bit for bit what evaluating every row gives."""
+        onset on with period P, the rows from onset on are whole tiles of
+        the values of rows onset to onset + P - 1 (tile_cycle), so row t
+        takes those of row onset + (t - onset) mod P. A row has the same bits
+        alone or inside a block, so this is bit for bit what evaluating every
+        row gives."""
         blocks = self.distinct_blocks()
         values = np.concatenate([series(block, after)
                                  for block, after in zip(blocks, [*self.blocks[1:], None])])
         done, total = len(values), len(self.records)
         if done < total:
             onset, period = self.cycle
-            phase = np.arange(done - onset, total - onset) % period
-            values = np.concatenate((values, values[onset:][phase]))
+            cycle = tile_cycle(values[onset:onset + period], total - onset)
+            values = np.concatenate((values[:onset], cycle))
         return values
 
     def is_consecutive(self) -> bool:

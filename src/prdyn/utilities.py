@@ -107,8 +107,8 @@ def _check_bundle(u: UtilitySpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (u.n_goods,):
         raise NonPositiveBundle(f"bundle shape {x.shape} does not match {u.n_goods} goods")
-    if not np.all(x > 0):
-        raise NonPositiveBundle(f"bundle must be strictly positive, got {x}")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise NonPositiveBundle(f"bundle must be finite and strictly positive, got {x}")
     return x
 
 

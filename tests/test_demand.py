@@ -17,6 +17,7 @@ from prdyn.errors import (
     BudgetNotDominated,
     InvalidRunControl,
     NonPositiveBudget,
+    NonPositiveBundle,
     NonPositivePrice,
     PriceNotDominated,
     ToleranceNotReached,
@@ -53,6 +54,13 @@ class TestClosedForms:
             demand(u, [1.0, 0.0], 1.0)
         with pytest.raises(NonPositiveBudget):
             demand(u, [1.0, 1.0], 0.0)
+        # not finite: refused before the Newton solve, which would run out
+        # its steps with RuntimeWarnings and raise ToleranceNotReached
+        for value in (np.inf, np.nan):
+            with pytest.raises(NonPositivePrice, match="finite and strictly positive"):
+                demand(CES([1.0, 2.0], 0.5), [1.0, value], 1.0)
+            with pytest.raises(NonPositiveBudget, match="finite and strictly positive"):
+                demand(CES([1.0, 2.0], 0.5), [1.0, 1.0], value)
 
 
 class TestFamilyGradient:
@@ -155,6 +163,9 @@ class TestCorrespondingPrice:
         u = CES(weights=[1.0, 1.0], rho=0.5)
         with pytest.raises(BoundaryBundle):
             corresponding_price(u, [0.0, 1.0], 1.0)
+        for value in (np.inf, np.nan):  # no corresponding price either
+            with pytest.raises(NonPositiveBundle, match="finite and strictly positive"):
+                corresponding_price(CES([1.0, 2.0], 0.5), [0.5, value], 1.0)
 
     def test_round_trip(self, rng):
         for k in range(100):

@@ -277,11 +277,13 @@ def test_floor_is_checked_through_the_last_step(crossings, mode):
 def test_floor_crossing_on_any_row_of_a_block(crossings, monkeypatch, mode):
     market, iteration = crossings[mode]
     _, _, run = stepper(market)
-    # blocks of `rows` steps: the crossing step iteration - 1 is the last row
-    # of a block for rows = 1 and rows = iteration, the first for
-    # iteration - 1 and the next to last for iteration + 1
+    # stepped blocks of `rows` steps (the stride is set to rows too): the
+    # crossing step iteration - 1 is the last row of a block for rows = 1
+    # and rows = iteration, the first for iteration - 1 and the next to last
+    # for iteration + 1
     for rows in (1, iteration - 1, iteration, iteration + 1):
         monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.dynamics.CYCLE_STRIDE", rows)
         with pytest.raises(UnderflowDetected, match=f"at iteration {iteration};"):
             run(StopRule(20000, 0.0))
 
@@ -296,7 +298,7 @@ CYCLING = {
     "exchange-P3": lambda: generate_market(6, 8, "ces", seed=1, mode=Mode.EXCHANGE),
     "fisher-P6": lambda: mixed_market("fisher"),
 }
-CYCLE_STEPS = 800  # past each onset and the first driver block at default size
+CYCLE_STEPS = 800  # past each onset
 
 
 def cycle_of(records):
@@ -343,20 +345,15 @@ def count_steps(monkeypatch) -> list:
 
 
 def steps_taken(reference, onset, period, rows) -> int:
-    """The steps a run in blocks of `rows` steps takes before it fills. Its
-    first `rows` steps go in a block of (rows - 1) % CYCLE_STRIDE + 1 steps
-    and then blocks of CYCLE_STRIDE steps, its later ones in blocks of
-    `rows`. The run finds the cycle at the end of the first block that
-    holds P steps and ends at or after onset + P, and fills from there on,
-    unless no such block ends before the run does, or a step of the cycle
-    stops the run."""
+    """The steps a run with trace blocks of `rows` rows takes before it
+    fills. It steps blocks of min(CYCLE_STRIDE, rows) steps, finds the cycle
+    at the end of the first block that ends at or after onset + P when P is
+    at most that size, and fills from there on, unless no such block ends
+    before the run does, or a step of the cycle stops the run."""
     _, _, n_steps, stop_reason = reference
-    end, size = 0, (rows - 1) % dynamics.CYCLE_STRIDE + 1
-    while stop_reason == "max_iters" and end < n_steps:
-        end += size
-        if size >= period and end >= onset + period:
-            return min(n_steps, end)
-        size = dynamics.CYCLE_STRIDE if end < rows else rows
+    size = min(dynamics.CYCLE_STRIDE, rows)
+    if stop_reason == "max_iters" and period <= size:
+        return min(n_steps, -(-(onset + period) // size) * size)
     return n_steps
 
 
@@ -383,25 +380,44 @@ def test_cycle_fill_matches_per_step_reference(cycling, monkeypatch, name, price
 def test_cycle_fill_at_any_row_of_a_block(cycling, monkeypatch, name, price_tol):
     market, references, onset, period = cycling[name]
     _, _, run = stepper(market)
-    # blocks of `rows` steps: the cycle starts on the first row of a block
-    # for rows = onset, on the last row for onset + 1, from where its P rows
-    # cross into the next block, and is found as a whole block for
-    # rows = period; with rows = period - 1 no block holds a whole cycle and
-    # every step is taken
+    # stepped and trace blocks of `rows` rows (the stride is set to rows
+    # too): the cycle starts on the first row of a block for rows = onset,
+    # on the last row for onset + 1, from where its P rows cross into the
+    # next block, and is found as a whole block for rows = period; with
+    # rows = period - 1 no block holds a whole cycle and every step is taken
     for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
         monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.dynamics.CYCLE_STRIDE", rows)
         stepped = count_steps(monkeypatch)
         trace = run(StopRule(CYCLE_STEPS, price_tol))
         assert_matches_reference(trace, references[price_tol], 1)
         assert stepped[0] == steps_taken(references[price_tol], onset, period, rows)
 
 
-@pytest.mark.parametrize("name", CYCLING)
-def test_cycling_run_steps_only_to_its_cycle(cycling, monkeypatch, name):
-    """A 20 000-step run of a cycling market whose onset + period lies in
-    its first driver block steps at most its onset, its period and
-    CYCLE_STRIDE steps, and copies the rest from the cycle."""
-    market, references, onset, period = cycling[name]
+def late_onset_market():
+    """gen 4 6 ces --seed 1 with every rho = 0.99: a Fisher market that
+    enters a cycle of period 1 at step 3 695, past its first block_rows
+    (1 365) steps."""
+    market = generate_market(4, 6, "ces", seed=1)
+    return replace(market, utilities=tuple(CES(u.weights, 0.99) for u in market.utilities))
+
+
+@pytest.fixture(scope="module")
+def late_onset():
+    """(market, {0.0: reference run}, onset, period) of late_onset_market."""
+    market = late_onset_market()
+    reference = reference_run(market, 4000, 0.0)
+    return market, {0.0: reference}, *cycle_of(reference[0])
+
+
+@pytest.mark.parametrize("name", [*CYCLING, "fisher-late"])
+def test_cycling_run_steps_only_to_its_cycle(cycling, late_onset, monkeypatch, name):
+    """A 20 000-step run of a cycling market steps at most its onset, its
+    period and CYCLE_STRIDE steps, and copies the rest from the cycle, at
+    any onset: fisher-late's lies past its first block_rows steps."""
+    market, references, onset, period = {**cycling, "fisher-late": late_onset}[name]
+    if name == "fisher-late":
+        assert onset > block_rows(market)
     stepped = count_steps(monkeypatch)
     trace = stepper(market)[2](StopRule(20000, 0.0), 20000)
     assert (trace.n_steps, trace.stop_reason) == (20000, "max_iters")
@@ -412,22 +428,17 @@ def test_cycling_run_steps_only_to_its_cycle(cycling, monkeypatch, name):
     assert bits(last)[2:] == bits(same)[2:]
 
 
-STRIDE_STEPS = 1500  # past the first full driver block after the stride ones, at 6 x 8
-
-
 @pytest.mark.parametrize("name", ["fisher-P2", "exchange-P2", "exchange-P3", "fisher-P6"])
-def test_cycle_longer_than_the_stride_is_found_in_a_full_block(monkeypatch, name):
-    """With CYCLE_STRIDE below the period no stride block holds a whole
-    cycle: the run steps on and finds it in its first full block."""
-    market = CYCLING[name]()
-    reference = reference_run(market, STRIDE_STEPS, 0.0)
-    onset, period = cycle_of(reference[0])
+def test_cycle_longer_than_the_stride_is_stepped_through(cycling, monkeypatch, name):
+    """With CYCLE_STRIDE below the period no stepped block holds a whole
+    cycle: the run finds none and steps every row, the reference's."""
+    market, references, _, period = cycling[name]
     monkeypatch.setattr("prdyn.dynamics.CYCLE_STRIDE", period - 1)
     stepped = count_steps(monkeypatch)
-    trace = stepper(market)[2](StopRule(STRIDE_STEPS, 0.0))
-    assert_matches_reference(trace, reference, 1)
-    assert trace.cycle is not None
-    assert stepped[0] == steps_taken(reference, onset, period, block_rows(market))
+    trace = stepper(market)[2](StopRule(CYCLE_STEPS, 0.0))
+    assert_matches_reference(trace, references[0.0], 1)
+    assert trace.cycle is None
+    assert stepped[0] == CYCLE_STEPS
 
 
 def diagnostics_bits(market, trace):
@@ -458,6 +469,7 @@ def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch,
     # the block edges of test_cycle_fill_at_any_row_of_a_block
     for rows in sorted({onset, onset + 1, period, period - 1} - {0}):
         monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        monkeypatch.setattr("prdyn.dynamics.CYCLE_STRIDE", rows)
         trace = run(StopRule(CYCLE_STEPS, 0.0))
         assert (trace.cycle is not None) == (rows >= period)
         plain = restacked(market, trace)
@@ -518,7 +530,7 @@ def test_cycle_tail_views_one_buffer_of_whole_cycles(name):
     for block in tail:
         if len(block) == len(tail[0]):
             assert addresses(block) == addresses(tail[0])
-    assert len(tail[0].bids.base) <= size
+    assert tail[0].bids.base.size <= size * market.n_buyers * market.n_goods  # bids of a block
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DynamicsTrace)])

@@ -150,3 +150,20 @@ class TestFixedPoint:
         assert np.max(np.abs(next_state.bids - state.bids)) <= 1e-12
         assert np.max(np.abs(next_state.budgets_B - state.budgets_B)) <= 1e-12
         assert np.max(np.abs(next_state.spend_e - state.spend_e)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("family", ["cobb_douglas", "ces"])
+    def test_run_starts_from_the_equilibrium_state_at_any_laziness(self, family, alpha, rng):
+        """e* is laziness * B* bit for bit at every laziness, not only at a
+        power of two, so run_exchange accepts the equilibrium state, and the
+        run stays at it."""
+        market = random_exchange_market(family, 3, 4, rng, alpha, alpha)
+        eq = solve_exchange_eq(market, tol=1e-13)
+        assert eq.converged
+        state = equilibrium_exchange_state(transform_exchange_equilibrium(market, eq))
+        assert state.spend_e.tobytes() == (market.laziness * state.budgets_B).tobytes()
+        trace = run_exchange(market, state, StopRule(50))
+        assert trace.n_steps == 50
+        for record in trace.records:
+            assert np.max(np.abs(record.bids - state.bids)) <= 1e-12
+            assert np.max(np.abs(record.budgets_B - state.budgets_B)) <= 1e-12

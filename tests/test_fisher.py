@@ -98,6 +98,18 @@ class TestRunFisher:
         assert trace.stop_reason == "max_iters"
         assert [r.iteration for r in trace.records] == [0]
 
+    def test_records_slice_is_a_list_of_rows(self, rng):
+        """A slice of trace.records is the list of those rows, across blocks."""
+        market = ces_market(rng)
+        trace = run_fisher(market, default_initial_bids(market), StopRule(max_iters=300))
+        assert len(trace.blocks) > 2
+        records = trace.records
+        for rows in (slice(None), slice(5, 250, 7), slice(-3, None), slice(None, None, -1)):
+            got = records[rows]
+            assert isinstance(got, list)
+            assert [r.iteration for r in got] == list(range(300))[rows]
+            assert all(np.array_equal(r.bids, records[r.iteration].bids) for r in got)
+
     def test_record_thinning_keeps_final(self, rng):
         market = ces_market(rng)
         trace = run_fisher(

@@ -258,8 +258,9 @@ def driver_cases(draw):
 @settings(PROPERTY, max_examples=300)
 @given(driver_cases())
 def test_run_driver_matches_the_per_step_reference(case):
-    # the remainder block, the CYCLE_STRIDE blocks, the cycle tail, the
-    # in-loop stop test and _keep against one pr_step / lazy_step at a time
+    # the stepped blocks of min(CYCLE_STRIDE, block_rows) rows, the cycle
+    # tail of block_rows rows, the in-loop stop test and _keep against one
+    # pr_step / lazy_step at a time
     market, stop, record_every, rows, stride = case
     reference = reference_run(market, stop.max_iters, stop.price_tol)
     with pytest.MonkeyPatch.context() as patch:

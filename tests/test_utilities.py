@@ -25,6 +25,10 @@ class TestValues:
             eval_utility(u, [0.0, 1.0])
         with pytest.raises(NonPositiveBundle):
             eval_gradient(u, [1.0, -1.0])
+        for value in (np.inf, np.nan):
+            for f in (eval_utility, eval_gradient, bid_shares):
+                with pytest.raises(NonPositiveBundle, match="finite and strictly positive"):
+                    f(u, [1.0, value])
 
 
 class TestGradients:

@@ -27,7 +27,7 @@ from .dynamics import (
     run_exchange,
     run_fisher,
 )
-from .errors import InvalidRunControl, NonPositiveEntry, ParseError, PrdynError
+from .errors import InvalidRunControl, LengthMismatch, NonPositiveEntry, ParseError, PrdynError
 from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
@@ -229,26 +229,46 @@ def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool 
     """Write one CSV row per recorded iteration, each float as its shortest
     round-trip repr and each line ended by \\r\\n, as csv.writer writes them
     (no field needs quoting). The potential column holds the series
-    `potential`, one value per row, or nan when it is None. Each block of rows
-    is formatted from one nested list of Python floats."""
+    `potential`, one value per row, or nan when it is None; a series of any
+    other length raises LengthMismatch before the file is opened. A row is
+    its iteration, the text of its prices, the repr of its potential and the
+    rest of its text: the stop delta and, in a full dump, the bids and
+    (exchange) the bank balances. Each block's texts are formatted from one
+    nested list of Python floats. The rows of the cycle's tail (see
+    DynamicsTrace.cycle) take the texts of their phase of the cycle, which
+    are formatted once per phase."""
+    rows = len(trace.records)
+    potential = np.full(rows, np.nan) if potential is None else np.asarray(potential, dtype=float)
+    if potential.shape != (rows,):
+        raise LengthMismatch(f"potential series of shape {potential.shape}, trace of {rows} rows")
     exchange = full_dump and market.mode is Mode.EXCHANGE
+
+    def texts(block):  # the prices text and the rest of the text of each row
+        rest = [block.stop_delta[:, None]]
+        if full_dump:
+            rest.append(block.bids.reshape(len(block), -1))
+        if exchange:
+            rest.append(block.budgets_B)
+        return [[",".join(map(repr, row)) for row in a.tolist()]
+                for a in (block.prices, np.hstack(rest))]
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trace_header(market, full_dump)) + "\r\n")
-        if potential is None:
-            potential = np.full(len(trace.records), np.nan)
-        potential = np.asarray(potential, dtype=float)[:, None]
-        done = 0
-        for block in trace.blocks:
-            k = len(block)
-            parts = [block.prices, potential[done:done + k], block.stop_delta[:, None]]
-            if full_dump:
-                parts.append(block.bids.reshape(k, -1))
-            if exchange:
-                parts.append(block.budgets_B)
-            rows = np.hstack(parts).tolist()
-            for t, values in zip(block.iteration.tolist(), rows):
-                fh.write(f"{int(t)},{','.join(map(repr, values))}\r\n")
-            done += k
+        values = iter(potential.tolist())  # each call below takes the next rows' values
+
+        def write(iterations, prices, rest):
+            fh.writelines(f"{t},{p},{v!r},{r}\r\n"
+                          for t, p, v, r in zip(iterations, prices, values, rest))
+
+        for block in trace.blocks.stored:
+            write(block.iteration.astype(int).tolist(), *texts(block))
+        tail = trace.blocks.tail
+        if tail is not None:
+            period = trace.cycle[1]
+            prices, rest = texts(tail.cycle.take(slice(period)))
+            iterations = tail.iterations()
+            phases = ((iterations - tail.start) % period).tolist()
+            write(iterations.tolist(), [prices[k] for k in phases], [rest[k] for k in phases])
 
 
 # A dump's p_j must be the column sum of its bids, and each of its prices,

@@ -50,6 +50,13 @@ class DemandResult:
     lam: float  # multiplier on the budget constraint
 
 
+def _check_budget(e) -> float:
+    e = float(e)
+    if not 0 < e < np.inf:
+        raise NonPositiveBudget(f"budget must be finite and strictly positive, got {e}")
+    return e
+
+
 def _check_price(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p) & (p > 0)):
@@ -115,9 +122,7 @@ def demand(u: UtilitySpec, p, e: float, tol: float = 1e-12) -> DemandResult:
     spending meets, raises InvalidRunControl. Prices and the budget must be
     finite and strictly positive."""
     p = _check_price(p)
-    e = float(e)
-    if not 0 < e < np.inf:
-        raise NonPositiveBudget(f"budget must be finite and strictly positive, got {e}")
+    e = _check_budget(e)
     if not tol >= 0:
         raise InvalidRunControl(f"tol must be nonnegative, got {tol}")
     C, R = share_row(u)
@@ -134,14 +139,15 @@ def corresponding_prices(C: np.ndarray, R: np.ndarray, X: np.ndarray, e) -> np.n
 
 
 def corresponding_price(u: UtilitySpec, x, e: float) -> np.ndarray:
-    """The unique price vector at which the finite, strictly positive bundle x is optimal.
+    """The unique price vector at which the finite, strictly positive bundle x
+    is optimal under the finite, strictly positive budget e.
 
     q_j = e * grad_j u(x) / sum_k x_k grad_k u(x) = e * bid_shares(u, x)_j / x_j.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise BoundaryBundle(f"corresponding price needs a strictly positive bundle, got {x}")
-    return corresponding_prices(*share_row(u), _check_bundle(u, x), e)
+    return corresponding_prices(*share_row(u), _check_bundle(u, x), _check_budget(e))
 
 
 @dataclass(frozen=True)

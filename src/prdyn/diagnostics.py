@@ -217,7 +217,7 @@ def diagnose_fisher(trace: DynamicsTrace, market: MarketSpec, eq: EquilibriumRes
         _interior(X)
         np.divide(block.bids[1:], X[:-1], out=v[:-1])
         v[-1] = (corresponding_prices(*market.share_rows, X[-1], market.budgets)
-                 if after is None else after.bids[0] / X[-1])
+                 if after is None else after.bids / X[-1])
         return np.stack((potentials, prices, _gaps(xp, log_p, v)), axis=1)
 
     potentials, price_terms, gaps = trace.per_row(rows).T

@@ -50,17 +50,19 @@ it steps no more (``_repeat``): the step after the block is P steps after
 the cycle's first, so it starts the cycle again, and the cycle's P rows of
 the stepped block, with the cycle's stop deltas, are tiled once
 (``tile_cycle``) into one read-only buffer of the whole cycles that fit in
-a trace block of ``block_rows`` rows. Every later block of the trace is a
-TraceBlock of views of that buffer's first rows, with an iteration array of
-its own. Those blocks take no floor check, no stop-delta pass and no
-budget-drift read: each of their rows is a row of the cycle, checked and
-settled when it was stepped, so none of them can change a result. It does
-not repeat the cycle when a step of the cycle moves the stop quantity by
-less than price_tol: stepping on then stops the run within P steps. So a
-run that cycles with a period P <= ``CYCLE_STRIDE`` steps fewer than
-onset + P + ``CYCLE_STRIDE`` steps; its later rows are the stepped ones bit
-for bit, and its trace holds the stepped rows, at most one block of the
-cycle and an iteration per row. The trace records the cycle as
+a trace block of ``block_rows`` rows. The rest of the run is the trace's
+CycleTail, that buffer and the tail's extent, whatever its length: each
+later block is built only when it is read, as views of the buffer's first
+rows with an iteration array of its own, and a dump formats each phase of
+the cycle once (``cli.write_trace``). The tail takes no floor check, no
+stop-delta pass and no budget-drift read: each of its rows is a row of the
+cycle, checked and settled when it was stepped, so none of them can change
+a result. It does not repeat the cycle when a step of the cycle moves the
+stop quantity by less than price_tol: stepping on then stops the run
+within P steps. So a run that cycles with a period P <= ``CYCLE_STRIDE``
+steps fewer than onset + P + ``CYCLE_STRIDE`` steps; its later rows are
+the stepped ones bit for bit, and its trace holds the stepped rows and at
+most one block of the cycle. The trace records the cycle as
 ``DynamicsTrace.cycle``.
 """
 
@@ -79,14 +81,17 @@ from .errors import (
     UnderflowDetected,
 )
 from .market import (
+    CycleTail,
     DynamicsTrace,
     ExchangeState,
     FisherState,
     MarketSpec,
     Mode,
     TraceBlock,
+    TraceBlocks,
     block_rows,
     budget_drift,
+    keep_mask,
     tile_cycle,
 )
 
@@ -289,16 +294,14 @@ def _keep(blocks: list, rows: TraceBlock, start: int, full: bool, record_every: 
           done: bool):
     """Add to blocks the rows of `rows`, the steps start, start + 1, ...,
     whose iteration is a multiple of record_every and, when the run is done,
-    the last. When `full`, every row of the arrays `rows` views is a step of
-    the run, and a block whose rows are all kept joins the trace as it is;
-    otherwise its kept rows are copied out, so that the trace holds no
-    unused rows. The copy also frees the last stepped block of a run that
-    stops inside it: kept as views, it left the block-sized temporaries of
-    the diagnostics that follow without that memory to reuse, and
-    fisher-verify ran about 9 % slower."""
-    keep = np.zeros(len(rows), bool)
-    keep[-start % record_every::record_every] = True
-    keep[-1] |= done
+    the last (keep_mask). When `full`, every row of the arrays `rows` views
+    is a step of the run, and a block whose rows are all kept joins the
+    trace as it is; otherwise its kept rows are copied out, so that the
+    trace holds no unused rows. The copy also frees the last stepped block
+    of a run that stops inside it: kept as views, it left the block-sized
+    temporaries of the diagnostics that follow without that memory to
+    reuse, and fisher-verify ran about 9 % slower."""
+    keep = keep_mask(start, len(rows), record_every, done)
     if full and keep.all():
         blocks.append(rows)
     elif keep.any():
@@ -331,34 +334,24 @@ def _cycle(steps: TraceBlock, following: TraceBlock, stops: np.ndarray, tol: flo
     return (k, moves) if np.all(moves >= tol) else None
 
 
-def _repeat(blocks: list, steps: TraceBlock, k: int, moves: np.ndarray, t: int, end: int,
-            size: int, record_every: int):
-    """Add to blocks the steps t, t + 1, ... up to end - 1 that follow the
-    stepped block `steps`, for a run that repeats the block's rows from row k
-    on with the stop deltas `moves` that _cycle returned. Step t is
+def _repeat(steps: TraceBlock, k: int, moves: np.ndarray, t: int, end: int, size: int,
+            record_every: int):
+    """The steps t, t + 1, ... up to end - 1 that follow the stepped block
+    `steps`, for a run that repeats the block's rows from row k on with the
+    stop deltas `moves` that _cycle returned, as a CycleTail. Step t is
     P = len(moves) steps after the cycle's first, so step t + i is row
     k + i mod P. The cycle's rows and deltas are tiled once, from row k, by
     whole cycles (tile_cycle) into a read-only buffer of the size // P
-    cycles that fit in a block of `size` rows, at most end - t rows; every
-    block of the tail views the buffer's first rows, so it starts at the
-    cycle's first row, and has an iteration array of its own. _keep copies
-    out the kept rows of a block whose rows are not all kept. Nothing is
-    stepped, floor-checked, given stop deltas or read for the budget drift:
-    every row is a row of the cycle, checked and settled when it was
-    stepped. Returns the cycle as (onset, period)."""
+    cycles that fit in a block of `size` rows, at most end - t rows; the
+    tail builds its blocks from it when they are read. Nothing is stepped,
+    floor-checked, given stop deltas or read for the budget drift: every
+    row is a row of the cycle, checked and settled when it was stepped.
+    Returns the tail and the cycle as (onset, period)."""
     period = len(moves)
     count = min(size // period * period, end - t)
     cycle = replace(steps.take(slice(k, None)), stop_delta=moves).map(
         lambda rows: tile_cycle(rows, count))
-    B = cycle.budgets_B
-    for start in range(t, end, count):
-        n = min(count, end - start)
-        iteration = np.arange(start, start + n, dtype=float)
-        iteration.flags.writeable = False
-        block = TraceBlock(iteration, cycle.prices[:n], cycle.bids[:n], cycle.stop_delta[:n],
-                           None if B is None else B[:n], cycle.laziness)
-        _keep(blocks, block, start, True, record_every, start + n == end)
-    return t - period, period
+    return CycleTail(cycle, t, end, record_every), (t - period, period)
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:
@@ -389,10 +382,10 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
     run raises at the same iteration as a step-by-step loop, and nothing
     that follows the crossing is kept.
     Once a stepped block shows the exact cycle the run has entered, and no
-    step of the cycle stops the run, the rest of the run is views of the
-    cycle's rows (_repeat; see the module docstring). The kept blocks, the
-    budget drift and the cycle are collected as the run goes, and the trace
-    is built from them with one constructor call."""
+    step of the cycle stops the run, the rest of the run is the cycle's
+    tail (_repeat; see the module docstring). The kept blocks, the tail,
+    the budget drift and the cycle are collected as the run goes, and the
+    trace is built from them with one constructor call."""
     if record_every < 1:
         raise InvalidRunControl(f"record_every must be >= 1, got {record_every}")
     _check_bids(market, bids)
@@ -401,7 +394,7 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
         _check_spending(market, B, e)
     step_rows = _pr_map(market)
     tol, end = stop.price_tol, max(t + 1, stop.max_iters)  # steps t .. end - 1
-    blocks, drift, cycle = [], 0.0, None
+    blocks, drift, tail, cycle = [], 0.0, None, None
     size = min(CYCLE_STRIDE, block_rows(market))
     steps = TraceBlock.empty(market, min(size, end - t))
     allocation = np.empty((len(steps), *bids.shape))
@@ -439,12 +432,12 @@ def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTr
                 break
             found = _cycle(steps, following, stops, tol)
             if found is not None:  # no step of the cycle stops the run: repeat it, don't step it
-                cycle = _repeat(blocks, steps, *found, t, end, block_rows(market), record_every)
+                tail, cycle = _repeat(steps, *found, t, end, block_rows(market), record_every)
                 t = end
                 break
             steps = following
     stop_reason = "price_tol" if stopped else "max_iters"
-    return DynamicsTrace(market.mode, blocks, stop_reason, t, drift, cycle)
+    return DynamicsTrace(market.mode, TraceBlocks(blocks, tail), stop_reason, t, drift, cycle)
 
 
 def run_fisher(

@@ -8,9 +8,10 @@ A DynamicsTrace stores the PR state of the recorded iterations, the state a
 full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
 derived when read. This module owns the trace's layout and bookkeeping:
 the rows a block holds (``block_rows``), the budget drift
-(``budget_drift``) and, on a run that entered an exact cycle, which blocks
-hold its distinct rows and how rows are tiled by whole cycles
-(``DynamicsTrace.distinct_blocks``, ``tile_cycle`` and ``per_row``).
+(``budget_drift``) and, on a run that entered an exact cycle, the rows
+after the stepped ones, whose blocks are built only when read
+(``CycleTail``, ``TraceBlocks``), and how rows are tiled by whole cycles
+(``tile_cycle`` and ``DynamicsTrace.per_row``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -231,24 +232,113 @@ class TraceBlock:
         return None if self.budgets_B is None else self.laziness * self.budgets_B
 
 
-class _Rows(Sequence):
-    """The rows of a list of blocks as one read-only sequence."""
+def keep_mask(start: int, rows: int, record_every: int, last: bool) -> np.ndarray:
+    """Which of `rows` rows, the iterations start, start + 1, ..., a trace
+    keeps: those whose iteration is a multiple of record_every and, when
+    `last`, the last (a run's final row)."""
+    keep = np.zeros(rows, bool)
+    keep[-start % record_every::record_every] = True
+    keep[-1] |= last
+    return keep
 
-    def __init__(self, blocks: List[TraceBlock]):
+
+@dataclass(frozen=True)
+class CycleTail:
+    """The rows of a run after the ones it stepped, which repeat its exact
+    cycle: the iterations start to end - 1, of which the trace keeps each
+    multiple of record_every and the last. `cycle` holds read-only stacked
+    arrays of whole cycles from the cycle's first row, so iteration t is its
+    row (t - start) mod len(cycle); its iteration array is not read. The
+    tail's blocks are its runs of len(cycle) iterations from start, each
+    built when it is read: views of `cycle`'s first rows with an iteration
+    array of their own, or their kept rows copied out when not all are
+    kept; a run that keeps no row has no block."""
+
+    cycle: TraceBlock
+    start: int
+    end: int
+    record_every: int
+
+    @property
+    def _multiples(self) -> range:
+        k = self.record_every
+        return range(self.start + -self.start % k, self.end, k)
+
+    def __len__(self) -> int:
+        """The rows the trace keeps."""
+        return len(self._multiples) + ((self.end - 1) % self.record_every > 0)
+
+    def iterations(self) -> np.ndarray:
+        """The iteration of each kept row, in order."""
+        multiples = self._multiples
+        kept = np.arange(multiples.start, multiples.stop, multiples.step)
+        return kept if len(kept) == len(self) else np.append(kept, self.end - 1)
+
+    def row(self, j: int) -> TraceBlock:
+        """Kept row j, a row of the cycle."""
+        multiples = self._multiples
+        t = multiples[j] if j < len(multiples) else self.end - 1
+        return replace(self.cycle.row((t - self.start) % len(self.cycle)), iteration=t)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The first iteration of each block."""
+        size = len(self.cycle)
+        starts = np.arange(self.start, self.end, size)
+        kept = -starts % self.record_every < np.minimum(size, self.end - starts)
+        kept[-1] = True
+        return starts[kept]
+
+    def block(self, i: int) -> TraceBlock:
+        start = int(self.starts[i])
+        n = min(len(self.cycle), self.end - start)
+        iteration = np.arange(start, start + n, dtype=float)
+        iteration.flags.writeable = False
+        block = replace(self.cycle.take(slice(n)), iteration=iteration)
+        keep = keep_mask(start, n, self.record_every, start + n == self.end)
+        return block if keep.all() else block.take(keep)
+
+
+class TraceBlocks(Sequence):
+    """A trace's blocks as one read-only sequence: the stored blocks, then
+    the blocks of the run's CycleTail, if it has one, each built when it is
+    read."""
+
+    def __init__(self, stored=(), tail: Optional[CycleTail] = None):
+        self.stored, self.tail = tuple(stored), tail
+
+    def __len__(self) -> int:
+        return len(self.stored) + (0 if self.tail is None else len(self.tail.starts))
+
+    def __getitem__(self, k):
+        """Block k, or the list of the blocks of a slice."""
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # IndexError when out of range
+        return self.stored[k] if k < len(self.stored) else self.tail.block(k - len(self.stored))
+
+
+class _Rows(Sequence):
+    """The rows of a trace's blocks as one read-only sequence; the rows of
+    its tail are read from the tail, with no block built."""
+
+    def __init__(self, blocks: TraceBlocks):
         self.blocks = blocks
 
     def __len__(self) -> int:
-        return sum(len(block) for block in self.blocks)
+        tail = self.blocks.tail
+        return sum(len(block) for block in self.blocks.stored) + (0 if tail is None else len(tail))
 
     def __getitem__(self, k):
         """Row k, or the list of the rows of a slice."""
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]  # IndexError when out of range
-        for block in self.blocks:
+        for block in self.blocks.stored:
             if k < len(block):
                 return block.row(k)
             k -= len(block)
+        return self.blocks.tail.row(k)
 
     def __iter__(self):
         for block in self.blocks:
@@ -275,7 +365,8 @@ class DynamicsTrace:
     """The PR state of the recorded iterations, in TraceBlocks of at most
     ``block_rows`` rows, plus run-level bookkeeping. The run driver and
     ``stacked`` build it with one constructor call, and it is frozen: no
-    field can be set afterwards.
+    field can be set afterwards. ``blocks`` is a read-only TraceBlocks; a
+    list given for it is taken as its stored blocks.
 
     ``budget_drift`` is the worst deviation of sum_i B_i from 1 seen at any
     iteration of an exchange run (0.0 for Fisher runs); a trace built by
@@ -285,18 +376,24 @@ class DynamicsTrace:
     state repeats bit for bit: from iteration onset on, the bids, bank
     balances and prices of iteration t are those of iteration
     onset + (t - onset) mod period. The driver stepped the iterations
-    before onset + period, and its later blocks are read-only views of one
-    buffer of the cycle's rows. It is None on a trace that did not cycle
-    and on one built by ``stacked``. ``distinct_blocks`` and ``per_row`` read
-    it to evaluate each distinct row of a cycling trace once.
+    before onset + period, which are the stored blocks; the later ones are
+    the blocks' CycleTail, read from one buffer of the cycle's rows and
+    built when read. It is None on a trace that did not cycle and on one
+    built by ``stacked``. ``records``, ``is_consecutive`` and ``per_row``
+    read the stored blocks and the tail's extent, and ``per_row`` evaluates
+    each distinct row of a cycling trace once.
     """
 
     mode: Mode
-    blocks: List[TraceBlock] = field(default_factory=list)
+    blocks: TraceBlocks = field(default_factory=TraceBlocks)
     stop_reason: str = ""
     n_steps: int = 0
     budget_drift: float = 0.0
     cycle: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.blocks, TraceBlocks):
+            object.__setattr__(self, "blocks", TraceBlocks(self.blocks))
 
     @classmethod
     def stacked(cls, market: MarketSpec, iteration, prices, bids, stop_delta,
@@ -304,10 +401,13 @@ class DynamicsTrace:
         """The one constructor of a trace from whole stacked arrays, such as a
         full dump read back: the fields of a TraceBlock of every row. The
         blocks are read-only views of these arrays. n_steps is the last
-        iteration + 1."""
+        iteration + 1; a trace of no rows is the empty trace of the mode,
+        as read_trace gives for a dump with no rows."""
         whole = TraceBlock(*(None if a is None else np.asarray(a, dtype=float)
                              for a in (iteration, prices, bids, stop_delta, budgets_B)),
                            market.laziness)
+        if not len(whole):
+            return cls(market.mode)
         size = block_rows(market)
         blocks = [whole.take(slice(k, k + size)) for k in range(0, len(whole), size)]
         drift = 0.0 if budgets_B is None else budget_drift(whole.budgets_B)
@@ -315,33 +415,29 @@ class DynamicsTrace:
 
     @property
     def records(self) -> Sequence[TraceBlock]:
-        """Every recorded row, oldest first, as views of the stored blocks."""
+        """Every recorded row, oldest first, as views of the blocks."""
         return _Rows(self.blocks)
 
-    def distinct_blocks(self) -> List[TraceBlock]:
-        """The blocks that hold every distinct row: on a trace that cycles
-        from iteration onset on with period P, the blocks up to the one that
-        holds row onset + P - 1; on any other trace, every block."""
-        done = 0
-        for k, block in enumerate(self.blocks):
-            done += len(block)
-            if self.cycle is not None and done >= sum(self.cycle):
-                return self.blocks[:k + 1]
-        return self.blocks
+    def distinct_blocks(self) -> Tuple[TraceBlock, ...]:
+        """The blocks that hold every distinct row, the stored ones: on a
+        trace that cycles from iteration onset on with period P, the driver
+        stored the rows up to onset + P - 1; any other trace stores every
+        block."""
+        return self.blocks.stored
 
     def per_row(self, series) -> np.ndarray:
         """series(block, after), the values of each row of a block (an array
-        with a leading axis of its rows) given the block after it (None
-        after the last), for every row of a consecutive trace. It evaluates
-        the distinct_blocks only: on a trace that cycles from iteration
-        onset on with period P, the rows from onset on are whole tiles of
-        the values of rows onset to onset + P - 1 (tile_cycle), so row t
-        takes those of row onset + (t - onset) mod P. A row has the same bits
-        alone or inside a block, so this is bit for bit what evaluating every
-        row gives."""
-        blocks = self.distinct_blocks()
-        values = np.concatenate([series(block, after)
-                                 for block, after in zip(blocks, [*self.blocks[1:], None])])
+        with a leading axis of its rows) given the row after it (None after
+        the last), for every row of a consecutive trace. It evaluates the
+        distinct_blocks only: on a trace that cycles from iteration onset on
+        with period P, the rows from onset on are whole tiles of the values
+        of rows onset to onset + P - 1 (tile_cycle), so row t takes those of
+        row onset + (t - onset) mod P. A row has the same bits alone or
+        inside a block, so this is bit for bit what evaluating every row
+        gives."""
+        blocks, tail = self.distinct_blocks(), self.blocks.tail
+        afters = [*(block.row(0) for block in blocks[1:]), None if tail is None else tail.row(0)]
+        values = np.concatenate([series(block, after) for block, after in zip(blocks, afters)])
         done, total = len(values), len(self.records)
         if done < total:
             onset, period = self.cycle
@@ -351,7 +447,9 @@ class DynamicsTrace:
 
     def is_consecutive(self) -> bool:
         """Whether the rows are the iterations 0, 1, 2, ... with none missing."""
-        if not self.blocks:
+        stored, tail = self.blocks.stored, self.blocks.tail
+        if not stored:
             return False
-        iterations = np.concatenate([block.iteration for block in self.blocks])
-        return np.array_equal(iterations, np.arange(len(iterations)))
+        iterations = np.concatenate([block.iteration for block in stored])
+        return np.array_equal(iterations, np.arange(len(iterations))) and (
+            tail is None or tail.start == len(iterations) == tail.end - len(tail))

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prdyn import CES, MarketSpec, Mode, SeparablePower, cli, validate_market
+from prdyn import CES, MarketSpec, Mode, SeparablePower, StopRule, cli, validate_market
 from prdyn import equilibrium as eqmod
 from prdyn.cli import (
     generate_market, load_market, main, read_trace, write_market, write_trace,
 )
-from prdyn.errors import ParseError, PrdynError, UnderflowDetected, UtilityParamInvalid
+from prdyn.errors import (LengthMismatch, ParseError, PrdynError, UnderflowDetected,
+                          UtilityParamInvalid)
 from prdyn.market import DynamicsTrace
-from test_dynamics import count_steps
+from test_dynamics import CYCLING, count_steps, restacked, stepper
 from test_equilibrium import near_linear_fisher_market
 
 
@@ -636,6 +637,37 @@ class TestTraceCsv:
         written = (tmp_path / "trace.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b"5e-324" in written and b"1e+16" in written and b"nan" in written
+
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", ["fisher-P6", "exchange-P3"])
+    def test_cycling_dump_equals_that_of_its_stacked_rows(self, tmp_path, name, record_every):
+        """The rows of a cycle's tail take the text of their phase, formatted
+        once: the dump is byte for byte that of the same rows stacked, whose
+        every row is formatted, with a potential series that does not repeat
+        in the tail too."""
+        market = CYCLING[name]()
+        trace = stepper(market)[2](StopRule(3000, 0.0), record_every)
+        assert trace.blocks.tail is not None
+        plain = restacked(market, trace)
+        rows = len(trace.records)
+        for potential in (None, np.random.default_rng(0).random(rows)):
+            for full_dump in (False, True):
+                for t, path in ((trace, "cycling.csv"), (plain, "stacked.csv")):
+                    write_trace(t, market, tmp_path / path, full_dump, potential)
+                written = (tmp_path / "cycling.csv").read_bytes()
+                assert written == (tmp_path / "stacked.csv").read_bytes()
+                assert written.count(b"\r\n") == rows + 1
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_potential_of_another_length_is_refused(self, tmp_path, extra):
+        """Before the file is opened: a short series once failed inside the
+        writer with part of the file written, and a long one was cut short."""
+        market = generate_market(3, 4, "ces", seed=1)
+        trace = stepper(market)[2](StopRule(30, 0.0))
+        with pytest.raises(LengthMismatch, match="trace of 30 rows"):
+            write_trace(trace, market, tmp_path / "trace.csv", True, np.zeros(30 + extra))
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestVerify:

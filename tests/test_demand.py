@@ -166,6 +166,9 @@ class TestCorrespondingPrice:
         for value in (np.inf, np.nan):  # no corresponding price either
             with pytest.raises(NonPositiveBundle, match="finite and strictly positive"):
                 corresponding_price(CES([1.0, 2.0], 0.5), [0.5, value], 1.0)
+        for e in (np.inf, np.nan, 0.0, -1.0):  # e * s(x) / x would be inf, NaN, 0 or negative
+            with pytest.raises(NonPositiveBudget, match="finite and strictly positive"):
+                corresponding_price(CES([1.0, 2.0], 0.5), [0.5, 0.5], e)
 
     def test_round_trip(self, rng):
         for k in range(100):

@@ -9,8 +9,10 @@ for bit.
 
 import dataclasses
 import re
+import runpy
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,7 +50,8 @@ from prdyn.errors import (
     ShapeMismatch,
     UnderflowDetected,
 )
-from prdyn.market import BLOCK_ENTRIES, TraceBlock, block_rows, budget_drift
+from prdyn.market import (BLOCK_ENTRIES, CycleTail, TraceBlock, TraceBlocks, block_rows,
+                          budget_drift)
 from conftest import FAMILIES, random_fisher_market
 from test_exchange import random_exchange_market
 
@@ -531,6 +534,136 @@ def test_cycle_tail_views_one_buffer_of_whole_cycles(name):
         if len(block) == len(tail[0]):
             assert addresses(block) == addresses(tail[0])
     assert tail[0].bids.base.size <= size * market.n_buyers * market.n_goods  # bids of a block
+
+
+def pool_market():
+    """Market 1 of the benchmark's exchange-long pool of seed 90001, a mixed
+    8 x 12 exchange market, read from benchmarks/workloads.py."""
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))
+    kind = workloads["WORKLOADS"]["exchange-long"].kinds[1]
+    return workloads["make_market"](kind, np.random.default_rng([90001, 1]))
+
+
+@pytest.fixture(scope="module")
+def tails(cycling):
+    """name -> (market, reference run at price_tol 0) of every cycling
+    market and of the exchange-long one."""
+    market = pool_market()
+    return {**{name: (run[0], run[1][0.0]) for name, run in cycling.items()},
+            "exchange-long": (market, reference_run(market, CYCLE_STEPS, 0.0))}
+
+
+FIELDS = ("iteration", "prices", "bids", "stop_delta", "budgets_B", "allocation", "spend_e")
+
+
+def stacked_reference(market, records, record_every):
+    """The rows of a reference run a trace keeps at record_every, as one
+    stacked trace."""
+    kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
+    names = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
+    arrays = [None if getattr(kept[0], f) is None else np.array([getattr(r, f) for r in kept])
+              for f in names]
+    return DynamicsTrace.stacked(market, *arrays)
+
+
+def next_bid(block, after):
+    """A per_row series that reads the row after each row: its first bid."""
+    return np.append(block.bids[1:, 0, 0], np.nan if after is None else after.bids[0, 0])
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("rows", [None, 40])
+@pytest.mark.parametrize("name", [*CYCLING, "exchange-long"])
+def test_cycle_tail_reads_as_its_stacked_rows(tails, monkeypatch, name, rows, record_every):
+    """A cycling run's blocks, the stored ones and those of its tail, built
+    when read, hold the reference's rows bit for bit, and its records,
+    is_consecutive and per_row answer as those of a stacked trace of the
+    same rows. Trace blocks of 40 rows put many blocks in the tail."""
+    market, reference = tails[name]
+    if rows is not None:
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+    trace = stepper(market)[2](StopRule(CYCLE_STEPS, 0.0), record_every)
+    plain = stacked_reference(market, reference[0], record_every)
+    assert trace.cycle is not None and trace.blocks.tail is not None
+    assert len(trace.blocks) - len(trace.blocks.stored) >= (1 if rows is None else 10)
+    whole = {f: None if getattr(plain.blocks[0], f) is None
+             else np.concatenate([getattr(block, f) for block in plain.blocks]) for f in FIELDS}
+    done = 0
+    for block in trace.blocks:
+        for f in FIELDS:
+            a = getattr(block, f)
+            assert (a is None) == (whole[f] is None)
+            assert a is None or a.tobytes() == whole[f][done:done + len(block)].tobytes()
+        done += len(block)
+    assert done == len(trace.records) == len(plain.records)
+    assert bits(trace.records[-1]) == bits(plain.records[-1])
+    onset = trace.cycle[0] // record_every
+    for cut in (slice(None), slice(-30, None), slice(onset - 2, onset + 9), slice(3, None, 97)):
+        assert [bits(r) for r in trace.records[cut]] == [bits(r) for r in plain.records[cut]]
+    assert trace.is_consecutive() == plain.is_consecutive() == (record_every == 1)
+    if record_every == 1:  # per_row reads consecutive traces
+        prices = lambda block, _: block.prices  # noqa: E731
+        assert trace.per_row(prices).tobytes() == plain.per_row(prices).tobytes()
+        # the stacked trace's last row has no row after it; the cycling
+        # trace's takes the value of its phase
+        assert trace.per_row(next_bid)[:-1].tobytes() == plain.per_row(next_bid)[:-1].tobytes()
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_cycle_tail_blocks_are_built_only_when_read(tails, monkeypatch, record_every):
+    """len(trace.records), trace.records[-1], is_consecutive and per_row
+    read the stored blocks and the tail's extent: a 20 000-step run builds
+    no TraceBlock of the tail for them, only the rows they return."""
+    market, _ = tails["exchange-long"]
+    trace = run_exchange(market, default_initial_exchange(market), StopRule(20000, 0.0),
+                         record_every)
+    built = []  # the rows of each TraceBlock built: None for a row
+    init = TraceBlock.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(np.size(self.iteration) if np.ndim(self.iteration) else None)
+
+    monkeypatch.setattr(TraceBlock, "__init__", counting)
+    assert len(trace.records) == (20000 if record_every == 1 else 2858)
+    assert trace.is_consecutive() == (record_every == 1)
+    assert built == []
+    assert trace.records[-1].iteration == 19999
+    if record_every == 1:
+        trace.per_row(next_bid)
+    assert set(built) == {None}
+    tail = len(trace.blocks) - len(trace.blocks.stored)
+    assert tail > 50 and len(list(trace.blocks)) == len(trace.blocks)
+    assert sum(size is not None for size in built) >= tail  # each read built its block
+
+
+def test_cycle_tail_keeps_each_multiple_and_the_last_row():
+    """A tail read in blocks of 3 rows at record_every = 7 keeps the
+    iterations 14, 21 and 28 and its last, 31: a block that keeps no row is
+    left out, and the last block keeps its last row."""
+    market = mixed_market("exchange")
+    cycle = TraceBlock.empty(market, 3).map(lambda a: np.arange(a.size, dtype=float)
+                                            .reshape(a.shape))
+    tail = CycleTail(cycle, 10, 32, 7)
+    blocks = TraceBlocks([], tail)
+    kept = [14, 21, 28, 31]
+    assert [block.iteration.tolist() for block in blocks] == [[t] for t in kept]
+    assert [block.bids.tobytes() for block in blocks] == [cycle.bids[[(t - 10) % 3]].tobytes()
+                                                          for t in kept]
+    assert len(tail) == 4 and tail.iterations().tolist() == kept
+    assert [tail.row(j).iteration for j in range(4)] == kept
+
+
+def test_stacked_trace_of_no_rows_is_the_empty_trace():
+    """As read_trace gives for a dump of a header and no rows."""
+    market = mixed_market("exchange")
+    n, m = market.n_buyers, market.n_goods
+    empty = DynamicsTrace.stacked(market, [], np.empty((0, m)), np.empty((0, n, m)), [],
+                                  np.empty((0, n)))
+    fields = ("mode", "stop_reason", "n_steps", "budget_drift", "cycle")
+    assert [getattr(empty, f) for f in fields] == [getattr(DynamicsTrace(market.mode), f)
+                                                   for f in fields]
+    assert list(empty.blocks) == [] and len(empty.records) == 0 and not empty.is_consecutive()
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DynamicsTrace)])

@@ -28,7 +28,7 @@ from .dynamics import (
     run_fisher,
 )
 from .errors import InvalidRunControl, LengthMismatch, NonPositiveEntry, ParseError, PrdynError
-from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, validate_market
+from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode, check_size, validate_market
 from .utilities import CES, CobbDouglas, SeparablePower
 
 log = logging.getLogger("prdyn")
@@ -175,6 +175,7 @@ def generate_market(
         raise ParseError(f"unknown family {family!r}, expected one of {_FAMILIES}")
     if seed < 0:
         raise InvalidRunControl(f"seed must be >= 0, got {seed}")
+    check_size(n, m)
     if mode is Mode.EXCHANGE and m < n:
         raise ParseError("exchange generation needs at least one good per agent (m >= n)")
     rng = np.random.default_rng(seed)
@@ -264,10 +265,9 @@ def write_trace(trace: DynamicsTrace, market: MarketSpec, path, full_dump: bool 
             write(block.iteration.astype(int).tolist(), *texts(block))
         tail = trace.blocks.tail
         if tail is not None:
-            period = trace.cycle[1]
-            prices, rest = texts(tail.cycle.take(slice(period)))
+            prices, rest = texts(tail.cycle)
             iterations = tail.iterations()
-            phases = ((iterations - tail.start) % period).tolist()
+            phases = ((iterations - tail.start) % len(tail.cycle)).tolist()
             write(iterations.tolist(), [prices[k] for k in phases], [rest[k] for k in phases])
 
 
@@ -295,7 +295,10 @@ def read_trace(path, market: MarketSpec) -> DynamicsTrace:
     if exchange:
         legacy += [f"e_{i + 1}" for i in range(n)]
     with open(path) as fh:
-        found = fh.readline().rstrip("\n").split(",")
+        line = fh.readline()
+        if not line:
+            raise ParseError(f"{path}: empty trace file, no header")
+        found = line.rstrip("\n").split(",")
         if found != header and found != legacy:
             if "b_1_1" not in found:
                 raise ParseError(f"{path}: trace has no bid columns; re-run with --full-dump")

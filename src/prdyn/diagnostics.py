@@ -4,9 +4,10 @@ All potentials are unnormalized KL divergences between positive measures
 (equilibrium spending / prices vs. the current iterate). A check walks the
 trace's stored blocks, a series one array expression over a block's rows,
 and never mutates them; it holds one block's arrays and a few floats per
-row. A per-row series (the Fisher potential and price term, the Lemma 3.3
-gaps, which also read the next row's bids, the exchange potential) goes
-through ``DynamicsTrace.per_row``. The single-state functions are one-row
+row, and the average-price bound the m prices of every row. A per-row
+series (the Fisher potential and price term, the Lemma 3.3 gaps, which also
+read the next row's bids, the exchange potential, the prices) goes through
+``DynamicsTrace.per_row``. The single-state functions are one-row
 calls of the same kernels; ``lemma_33_check`` calls ``corresponding_prices``.
 """
 
@@ -103,19 +104,15 @@ def check_potential_decrease(trace: DynamicsTrace, eq: EquilibriumResult,
 
 
 def _avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult):
-    """T = 1..len(trace) and lhs of the O(1/T) bound, whose rhs is KL(b*|b^0) / T; checks p*."""
-    _constant(eq.p_star, trace.blocks[0].prices)
-    lhs = np.empty(len(trace.records))
-    carried, done = 0.0, 0  # sum of the prices before the block, and their count
-    for block in trace.blocks:
-        start, done = done, done + len(block)
-        prices = np.concatenate((block.prices[:1] + carried, block.prices[1:]))
-        sums = np.cumsum(prices, axis=0)
-        carried = sums[-1]
-        means = np.divide(sums, np.arange(start + 1, done + 1)[:, None], out=prices)
-        _positive(means)
-        lhs[start:done] = _kl(eq.p_star, means, means)
-    return np.arange(1, len(lhs) + 1), lhs
+    """T = 1..len(trace) and lhs of the O(1/T) bound, whose rhs is
+    KL(b*|b^0) / T; checks p*. The running means of the prices of every row
+    and their KL terms are taken in place, in the array per_row gives."""
+    prices = trace.per_row(lambda block, _: block.prices)
+    _constant(eq.p_star, prices)
+    T = np.arange(1, len(prices) + 1)
+    means = np.divide(np.cumsum(prices, axis=0, out=prices), T[:, None], out=prices)
+    _positive(means)
+    return T, _kl(eq.p_star, means, means)
 
 
 def check_avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult,
@@ -195,7 +192,7 @@ def diagnose_fisher(trace: DynamicsTrace, market: MarketSpec, eq: EquilibriumRes
     """Full Fisher report: potential decrease, average-price bound, and the
     personal-price inequality at every recorded interior iterate. Once b*,
     p* and then every KL term are checked, the per-row series take one pass
-    over the trace's ``distinct_blocks`` into two block-sized scratch arrays.
+    over the trace's stored blocks into two block-sized scratch arrays.
     A PR run re-bids b^{t+1} = e * s(x^t), so row t's corresponding prices
     are b^{t+1} / x^t, bit for bit those of ``corresponding_prices`` (called
     for the last row only). So this diagnoses a PR run; ``verify``'s replay
@@ -205,10 +202,10 @@ def diagnose_fisher(trace: DynamicsTrace, market: MarketSpec, eq: EquilibriumRes
     _require_consecutive(trace)
     _constant(eq.b_star, trace.blocks[0].bids)
     T, lhs = _avg_price_rate(trace, eq)
-    for block in trace.distinct_blocks():  # every KL term before any allocation
+    for block in trace.blocks.stored:  # every KL term before any allocation
         _positive(block.bids, block.prices)
     xp, log_p = eq.x_star * eq.p_star, np.log(eq.p_star)
-    scratch = [np.empty(max(map(len, trace.distinct_blocks())) * eq.b_star.size) for _ in range(2)]
+    scratch = [np.empty(max(map(len, trace.blocks.stored)) * eq.b_star.size) for _ in range(2)]
 
     def rows(block, after):  # potential, price term and gap of each row
         u, v = (a[:block.bids.size].reshape(block.bids.shape) for a in scratch)

@@ -47,23 +47,21 @@ repeated no state. A run of those 45 markets steps 128-256 rows, where it
 stepped a whole first block of 1 365 rows (4 x 6) or 341 rows (8 x 12) when
 the cycle was looked for only after full blocks. When it finds the cycle,
 it steps no more (``_repeat``): the step after the block is P steps after
-the cycle's first, so it starts the cycle again, and the cycle's P rows of
-the stepped block, with the cycle's stop deltas, are tiled once
-(``tile_cycle``) into one read-only buffer of the whole cycles that fit in
-a trace block of ``block_rows`` rows. The rest of the run is the trace's
-CycleTail, that buffer and the tail's extent, whatever its length: each
-later block is built only when it is read, as views of the buffer's first
-rows with an iteration array of its own, and a dump formats each phase of
-the cycle once (``cli.write_trace``). The tail takes no floor check, no
-stop-delta pass and no budget-drift read: each of its rows is a row of the
-cycle, checked and settled when it was stepped, so none of them can change
-a result. It does not repeat the cycle when a step of the cycle moves the
+the cycle's first, so it starts the cycle again. The rest of the run is the
+trace's CycleTail, whatever its length: the cycle's P rows, read-only views
+of the stepped block with the cycle's stop deltas, and the tail's extent.
+Each later trace block of ``block_rows`` kept rows is gathered from them by
+phase only when it is read, and a dump formats each phase of the cycle
+once (``cli.write_trace``). The tail takes no floor check, no stop-delta
+pass and no budget-drift read: each of its rows is a row of the cycle,
+checked and settled when it was stepped, so none of them can change a
+result. It does not repeat the cycle when a step of the cycle moves the
 stop quantity by less than price_tol: stepping on then stops the run
 within P steps. So a run that cycles with a period P <= ``CYCLE_STRIDE``
 steps fewer than onset + P + ``CYCLE_STRIDE`` steps; its later rows are
-the stepped ones bit for bit, and its trace holds the stepped rows and at
-most one block of the cycle. The trace records the cycle as
-``DynamicsTrace.cycle``.
+the stepped ones bit for bit, and its trace holds the stepped rows it
+keeps and the last block it stepped, which the cycle's rows view. The
+trace records the cycle as ``DynamicsTrace.cycle``.
 """
 
 from __future__ import annotations
@@ -91,8 +89,6 @@ from .market import (
     TraceBlocks,
     block_rows,
     budget_drift,
-    keep_mask,
-    tile_cycle,
 )
 
 # Bids this small are about to leave float range, and past them the
@@ -290,6 +286,16 @@ def _deltas(now: np.ndarray, before) -> np.ndarray:
     return np.maximum.reduce(np.abs(diff, out=diff).reshape(len(now), -1), axis=1)
 
 
+def keep_mask(start: int, rows: int, record_every: int, last: bool) -> np.ndarray:
+    """Which of `rows` rows, the iterations start, start + 1, ..., a trace
+    keeps: those whose iteration is a multiple of record_every and, when
+    `last`, the last (a run's final row)."""
+    keep = np.zeros(rows, bool)
+    keep[-start % record_every::record_every] = True
+    keep[-1] |= last
+    return keep
+
+
 def _keep(blocks: list, rows: TraceBlock, start: int, full: bool, record_every: int,
           done: bool):
     """Add to blocks the rows of `rows`, the steps start, start + 1, ...,
@@ -338,20 +344,17 @@ def _repeat(steps: TraceBlock, k: int, moves: np.ndarray, t: int, end: int, size
             record_every: int):
     """The steps t, t + 1, ... up to end - 1 that follow the stepped block
     `steps`, for a run that repeats the block's rows from row k on with the
-    stop deltas `moves` that _cycle returned, as a CycleTail. Step t is
-    P = len(moves) steps after the cycle's first, so step t + i is row
-    k + i mod P. The cycle's rows and deltas are tiled once, from row k, by
-    whole cycles (tile_cycle) into a read-only buffer of the size // P
-    cycles that fit in a block of `size` rows, at most end - t rows; the
-    tail builds its blocks from it when they are read. Nothing is stepped,
-    floor-checked, given stop deltas or read for the budget drift: every
-    row is a row of the cycle, checked and settled when it was stepped.
-    Returns the tail and the cycle as (onset, period)."""
-    period = len(moves)
-    count = min(size // period * period, end - t)
-    cycle = replace(steps.take(slice(k, None)), stop_delta=moves).map(
-        lambda rows: tile_cycle(rows, count))
-    return CycleTail(cycle, t, end, record_every), (t - period, period)
+    stop deltas `moves` that _cycle returned, as a CycleTail of blocks of
+    `size` kept rows. Step t is P = len(moves) steps after the cycle's
+    first, so step t + i is row k + i mod P. The tail's cycle is the P rows
+    from row k, read-only views of `steps`, with `moves` for their stop
+    deltas; the tail gathers its blocks from them when they are read.
+    Nothing is stepped, floor-checked, given stop deltas or read for the
+    budget drift: every row is a row of the cycle, checked and settled when
+    it was stepped. Returns the tail and the cycle as (onset, period)."""
+    moves.flags.writeable = False
+    cycle = replace(steps.take(slice(k, None)), stop_delta=moves)
+    return CycleTail(cycle, t, end, record_every, size), (t - len(moves), len(moves))
 
 
 def _run(market, bids, B, e, t, stop: StopRule, record_every: int) -> DynamicsTrace:

@@ -9,9 +9,10 @@ full dump holds, as stacked TraceBlocks; x = b / p and e = alpha * B are
 derived when read. This module owns the trace's layout and bookkeeping:
 the rows a block holds (``block_rows``), the budget drift
 (``budget_drift``) and, on a run that entered an exact cycle, the rows
-after the stepped ones, whose blocks are built only when read
-(``CycleTail``, ``TraceBlocks``), and how rows are tiled by whole cycles
-(``tile_cycle`` and ``DynamicsTrace.per_row``).
+after the stepped ones: the cycle's P rows, from which each later block is
+gathered by phase when it is read (``CycleTail``, ``TraceBlocks``) and
+each later row takes the per-row values of its phase
+(``DynamicsTrace.per_row``).
 """
 
 from __future__ import annotations
@@ -104,11 +105,16 @@ def income(market: MarketSpec, p: np.ndarray) -> np.ndarray:
     return market.ownership @ p
 
 
+def check_size(n: int, m: int):
+    """Raise UtilityParamInvalid unless a market of n buyers and m goods has one of each."""
+    if n < 1 or m < 1:
+        raise UtilityParamInvalid(f"market must have at least one buyer and one good, got {n}x{m}")
+
+
 def validate_market(spec: MarketSpec) -> MarketSpec:
     """Check all structural invariants; return the market unchanged if they hold."""
     n, m = spec.n_buyers, spec.n_goods
-    if n < 1 or m < 1:
-        raise UtilityParamInvalid(f"market must have at least one buyer and one good, got {n}x{m}")
+    check_size(n, m)
     if len(spec.utilities) != n:
         raise UtilityParamInvalid(f"expected {n} utilities, got {len(spec.utilities)}")
     for i, u in enumerate(spec.utilities):
@@ -232,71 +238,45 @@ class TraceBlock:
         return None if self.budgets_B is None else self.laziness * self.budgets_B
 
 
-def keep_mask(start: int, rows: int, record_every: int, last: bool) -> np.ndarray:
-    """Which of `rows` rows, the iterations start, start + 1, ..., a trace
-    keeps: those whose iteration is a multiple of record_every and, when
-    `last`, the last (a run's final row)."""
-    keep = np.zeros(rows, bool)
-    keep[-start % record_every::record_every] = True
-    keep[-1] |= last
-    return keep
-
-
 @dataclass(frozen=True)
 class CycleTail:
     """The rows of a run after the ones it stepped, which repeat its exact
     cycle: the iterations start to end - 1, of which the trace keeps each
-    multiple of record_every and the last. `cycle` holds read-only stacked
-    arrays of whole cycles from the cycle's first row, so iteration t is its
-    row (t - start) mod len(cycle); its iteration array is not read. The
-    tail's blocks are its runs of len(cycle) iterations from start, each
-    built when it is read: views of `cycle`'s first rows with an iteration
-    array of their own, or their kept rows copied out when not all are
-    kept; a run that keeps no row has no block."""
+    multiple of record_every and the last. `cycle` is the cycle's P rows
+    as the run driver stepped them, read-only, from its first row and with
+    the stop delta of each of its steps, so iteration t is its row
+    (t - start) mod P; its iteration array is not read. Block i of the tail
+    is its kept rows i * block_rows to (i + 1) * block_rows - 1, the layout
+    DynamicsTrace.stacked gives rows, each gathered from `cycle` by phase
+    when it is read."""
 
     cycle: TraceBlock
     start: int
     end: int
     record_every: int
-
-    @property
-    def _multiples(self) -> range:
-        k = self.record_every
-        return range(self.start + -self.start % k, self.end, k)
+    block_rows: int
 
     def __len__(self) -> int:
         """The rows the trace keeps."""
-        return len(self._multiples) + ((self.end - 1) % self.record_every > 0)
+        k = self.record_every
+        return len(range(self.start + -self.start % k, self.end, k)) + ((self.end - 1) % k > 0)
 
-    def iterations(self) -> np.ndarray:
-        """The iteration of each kept row, in order."""
-        multiples = self._multiples
-        kept = np.arange(multiples.start, multiples.stop, multiples.step)
-        return kept if len(kept) == len(self) else np.append(kept, self.end - 1)
+    def iterations(self, j: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The iteration of each kept row j, j + 1, ... up to stop - 1 or the
+        last: the j-th multiple of record_every from start, or end - 1 past
+        the last multiple."""
+        k, stop = self.record_every, len(self) if stop is None else min(stop, len(self))
+        return np.minimum(np.arange(j, stop) * k + (self.start + -self.start % k), self.end - 1)
 
     def row(self, j: int) -> TraceBlock:
         """Kept row j, a row of the cycle."""
-        multiples = self._multiples
-        t = multiples[j] if j < len(multiples) else self.end - 1
+        t = int(self.iterations(j, j + 1)[0])
         return replace(self.cycle.row((t - self.start) % len(self.cycle)), iteration=t)
 
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """The first iteration of each block."""
-        size = len(self.cycle)
-        starts = np.arange(self.start, self.end, size)
-        kept = -starts % self.record_every < np.minimum(size, self.end - starts)
-        kept[-1] = True
-        return starts[kept]
-
     def block(self, i: int) -> TraceBlock:
-        start = int(self.starts[i])
-        n = min(len(self.cycle), self.end - start)
-        iteration = np.arange(start, start + n, dtype=float)
-        iteration.flags.writeable = False
-        block = replace(self.cycle.take(slice(n)), iteration=iteration)
-        keep = keep_mask(start, n, self.record_every, start + n == self.end)
-        return block if keep.all() else block.take(keep)
+        t = self.iterations(i * self.block_rows, (i + 1) * self.block_rows)
+        rows = self.cycle.take((t - self.start) % len(self.cycle))
+        return replace(rows, iteration=t.astype(float)).take(slice(None))  # all read-only
 
 
 class TraceBlocks(Sequence):
@@ -308,7 +288,8 @@ class TraceBlocks(Sequence):
         self.stored, self.tail = tuple(stored), tail
 
     def __len__(self) -> int:
-        return len(self.stored) + (0 if self.tail is None else len(self.tail.starts))
+        tail = self.tail
+        return len(self.stored) + (0 if tail is None else -(-len(tail) // tail.block_rows))
 
     def __getitem__(self, k):
         """Block k, or the list of the blocks of a slice."""
@@ -346,12 +327,6 @@ class _Rows(Sequence):
                 yield block.row(k)
 
 
-def tile_cycle(rows: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` rows of a cycle whose P rows, from its first, are
-    `rows`: whole tiles of them along the leading axis, the last cut short."""
-    return np.tile(rows, (-(-count // len(rows)),) + (1,) * (rows.ndim - 1))[:count]
-
-
 def budget_drift(budgets_B: np.ndarray, drift: float = 0.0) -> float:
     """drift widened to cover one vector of bank balances, or a stack of
     them along a leading axis: the worst deviation of sum_i B_i from 1. A
@@ -377,11 +352,11 @@ class DynamicsTrace:
     balances and prices of iteration t are those of iteration
     onset + (t - onset) mod period. The driver stepped the iterations
     before onset + period, which are the stored blocks; the later ones are
-    the blocks' CycleTail, read from one buffer of the cycle's rows and
-    built when read. It is None on a trace that did not cycle and on one
-    built by ``stacked``. ``records``, ``is_consecutive`` and ``per_row``
-    read the stored blocks and the tail's extent, and ``per_row`` evaluates
-    each distinct row of a cycling trace once.
+    the blocks' CycleTail, the cycle's P rows, from which each later block
+    is gathered when it is read. It is None on a trace that did not cycle
+    and on one built by ``stacked``. ``records``, ``is_consecutive`` and
+    ``per_row`` read the stored blocks and the tail's extent, and
+    ``per_row`` evaluates each distinct row of a cycling trace once.
     """
 
     mode: Mode
@@ -418,31 +393,21 @@ class DynamicsTrace:
         """Every recorded row, oldest first, as views of the blocks."""
         return _Rows(self.blocks)
 
-    def distinct_blocks(self) -> Tuple[TraceBlock, ...]:
-        """The blocks that hold every distinct row, the stored ones: on a
-        trace that cycles from iteration onset on with period P, the driver
-        stored the rows up to onset + P - 1; any other trace stores every
-        block."""
-        return self.blocks.stored
-
     def per_row(self, series) -> np.ndarray:
         """series(block, after), the values of each row of a block (an array
         with a leading axis of its rows) given the row after it (None after
         the last), for every row of a consecutive trace. It evaluates the
-        distinct_blocks only: on a trace that cycles from iteration onset on
-        with period P, the rows from onset on are whole tiles of the values
-        of rows onset to onset + P - 1 (tile_cycle), so row t takes those of
-        row onset + (t - onset) mod P. A row has the same bits alone or
-        inside a block, so this is bit for bit what evaluating every row
-        gives."""
-        blocks, tail = self.distinct_blocks(), self.blocks.tail
+        stored blocks only: on a trace that cycles from iteration onset on
+        with period P, those hold the rows up to onset + P - 1, and row t
+        takes the values of row onset + (t - onset) mod P, gathered from
+        them. A row has the same bits alone or inside a block, so this is
+        bit for bit what evaluating every row gives."""
+        blocks, tail = self.blocks.stored, self.blocks.tail
         afters = [*(block.row(0) for block in blocks[1:]), None if tail is None else tail.row(0)]
         values = np.concatenate([series(block, after) for block, after in zip(blocks, afters)])
-        done, total = len(values), len(self.records)
-        if done < total:
+        if tail is not None:
             onset, period = self.cycle
-            cycle = tile_cycle(values[onset:onset + period], total - onset)
-            values = np.concatenate((values[:onset], cycle))
+            values = values[np.r_[:onset, onset + np.arange(len(self.records) - onset) % period]]
         return values
 
     def is_consecutive(self) -> bool:

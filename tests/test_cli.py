@@ -209,6 +209,17 @@ class TestGen:
         generate_market(1, 1, "separable_power", seed=0)
         generate_market(2, 3, "cobb_douglas", seed=9, mode=Mode.EXCHANGE)
 
+    @pytest.mark.parametrize("n, m", [("-1", "3"), ("2", "-3"), ("2", "0")])
+    def test_market_without_a_buyer_or_a_good_is_error(self, tmp_path, capsys, n, m):
+        """Refused before anything is drawn, with validate_market's message."""
+        out = tmp_path / "m.json"
+        assert main(["gen", n, m, "ces", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UtilityParamInvalid",
+            "message": f"market must have at least one buyer and one good, got {n}x{m}",
+        }
+        assert not out.exists()
+
 
 def _wide_weight_ces_market():
     """4 x 5 Fisher CES market whose weights span 16 decades, at rho 0.995:
@@ -989,6 +1000,13 @@ def _short_rows_dump(tmp_path):
     return read_trace(out / "trace.csv", load_market(mfile))
 
 
+def _empty_dump(tmp_path):
+    """read_trace of a file of 0 bytes, which has no header."""
+    main(["gen", "3", "4", "ces", "--out", str(tmp_path / "m.json")])
+    (tmp_path / "trace.csv").write_text("")
+    return read_trace(tmp_path / "trace.csv", load_market(tmp_path / "m.json"))
+
+
 @pytest.mark.parametrize("call, words", [
     pytest.param(lambda tmp: generate_market(2, 3, "linear", seed=0),
                  "unknown family 'linear'", id="gen-unknown-family"),
@@ -996,6 +1014,7 @@ def _short_rows_dump(tmp_path):
                  "at least one good per agent (m >= n)", id="gen-exchange-fewer-goods"),
     pytest.param(_short_rows_dump, "trace rows have 18 fields, the header 19",
                  id="dump-rows-one-field-short"),
+    pytest.param(_empty_dump, "trace.csv: empty trace file, no header", id="dump-empty-file"),
 ])
 def test_malformed_cli_input_is_a_parse_error(tmp_path, call, words):
     with pytest.raises(ParseError) as raised:
@@ -1058,6 +1077,8 @@ class TestOutDirectory:
                      id="run-diagnostics-record-every-7"),
         pytest.param(["verify", "--trace", "{tmp}/header.csv"], "NonConsecutiveTrace",
                      id="verify-header-only-dump"),
+        pytest.param(["verify", "--trace", "{tmp}/empty.csv"], "ParseError",
+                     id="verify-empty-dump"),
     ])
     def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys, argv, error):
         mfile = tmp_path / "m.json"
@@ -1066,6 +1087,7 @@ class TestOutDirectory:
               "--out", str(tmp_path / "run")])
         header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0]
         (tmp_path / "header.csv").write_text(header + "\n")
+        (tmp_path / "empty.csv").write_text("")
         capsys.readouterr()
         command, *flags = argv
         out = tmp_path / "out"

@@ -347,8 +347,7 @@ def _pass_gaps(market, eq, trace):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DynamicsTrace, "per_row", spy)
         report = diagnose_fisher(trace, market, eq)
-    (series,) = seen
-    return series[:, -1], report
+    return seen[-1][:, -1], report
 
 
 MIXED_8 = ["separable_power", "ces", "cobb_douglas"] * 2 + ["separable_power", "ces"]

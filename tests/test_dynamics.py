@@ -482,9 +482,9 @@ def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch,
 
 def test_cycling_trace_holds_its_stepped_rows_and_one_cycle_block(monkeypatch):
     """A 20 000-step run of a cycling 8 x 12 exchange market leaves allocated
-    at most 1.25 x the bytes of its stepped rows, one block of the cycle's
-    rows and 8 B of iteration per row: the blocks after the cycle are
-    read-only views of one buffer."""
+    at most 1.25 x the bytes of its stepped rows, one block and 8 B per row:
+    its tail holds the cycle's rows, and the blocks after the cycle, read-only,
+    are gathered from them when read."""
     market = random_exchange_market("ces", 8, 12, np.random.default_rng(501))
     init = default_initial_exchange(market)
     market.share_rows, market.ownership  # cached on the market before measuring
@@ -508,32 +508,6 @@ def test_cycling_trace_holds_its_stepped_rows_and_one_cycle_block(monkeypatch):
         for a in (b.iteration, b.prices, b.bids, b.stop_delta, b.budgets_B):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
-    assert np.shares_memory(tail[0].bids, tail[-1].bids)
-
-
-@pytest.mark.parametrize("name", ["exchange-P3", "fisher-P6"])
-def test_cycle_tail_views_one_buffer_of_whole_cycles(name):
-    """Every block after the cycle starts at the cycle's first row, so the
-    full ones all view the same rows of one buffer, and that buffer holds
-    the whole cycles that fit in a block. The block sizes of these markets,
-    682 and 170 rows, are not multiples of their periods."""
-    market = CYCLING[name]()
-    trace = stepper(market)[2](StopRule(20000, 0.0))
-    onset, period = trace.cycle
-    size = block_rows(market)
-    assert size % period
-    tail = [b for b in trace.blocks if b.iteration[0] >= onset + period]
-    assert len(tail) > 20 and tail[0].iteration[0] == onset + period
-    fields = ("prices", "bids", "stop_delta", "budgets_B")
-
-    def addresses(block):
-        return [getattr(block, f).__array_interface__["data"][0] for f in fields
-                if getattr(block, f) is not None]
-
-    for block in tail:
-        if len(block) == len(tail[0]):
-            assert addresses(block) == addresses(tail[0])
-    assert tail[0].bids.base.size <= size * market.n_buyers * market.n_goods  # bids of a block
 
 
 def pool_market():
@@ -553,16 +527,16 @@ def tails(cycling):
             "exchange-long": (market, reference_run(market, CYCLE_STEPS, 0.0))}
 
 
-FIELDS = ("iteration", "prices", "bids", "stop_delta", "budgets_B", "allocation", "spend_e")
+STACKED = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
+FIELDS = (*STACKED, "allocation", "spend_e")
 
 
 def stacked_reference(market, records, record_every):
     """The rows of a reference run a trace keeps at record_every, as one
     stacked trace."""
     kept = [r for r in records if r.iteration % record_every == 0 or r is records[-1]]
-    names = ("iteration", "prices", "bids", "stop_delta", "budgets_B")
     arrays = [None if getattr(kept[0], f) is None else np.array([getattr(r, f) for r in kept])
-              for f in names]
+              for f in STACKED]
     return DynamicsTrace.stacked(market, *arrays)
 
 
@@ -572,16 +546,41 @@ def next_bid(block, after):
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("name", [*CYCLING, "exchange-long"])
+def test_cycle_tail_is_the_cycles_rows_in_blocks_of_block_rows(tails, name, record_every):
+    """A cycling run's tail holds the cycle's P rows, no more, and its blocks
+    are its kept rows block_rows at a time, the last cut short; every array
+    of the tail and of its blocks is read-only."""
+    market, _ = tails[name]
+    trace = stepper(market)[2](StopRule(20000, 0.0), record_every)
+    tail, size = trace.blocks.tail, block_rows(market)
+    assert len(tail.cycle) == trace.cycle[1] and tail.block_rows == size
+    blocks = trace.blocks[len(trace.blocks.stored):]
+    assert len(blocks) == -(-len(tail) // size) >= (2 if record_every == 1 else 1)
+    assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= size
+    for block in (tail.cycle, *blocks):
+        for f in STACKED:
+            a = getattr(block, f)
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("rows", [None, 40])
 @pytest.mark.parametrize("name", [*CYCLING, "exchange-long"])
 def test_cycle_tail_reads_as_its_stacked_rows(tails, monkeypatch, name, rows, record_every):
     """A cycling run's blocks, the stored ones and those of its tail, built
     when read, hold the reference's rows bit for bit, and its records,
     is_consecutive and per_row answer as those of a stacked trace of the
-    same rows. Trace blocks of 40 rows put many blocks in the tail."""
+    same rows. Trace blocks of 40 rows, or of 6 = ceil(40 / 7) kept rows at
+    record_every = 7, which also span about 40 iterations, put many blocks
+    in the tail."""
     market, reference = tails[name]
     if rows is not None:
-        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", rows * market.n_buyers * market.n_goods)
+        kept = -(-rows // record_every)
+        monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", kept * market.n_buyers * market.n_goods)
     trace = stepper(market)[2](StopRule(CYCLE_STEPS, 0.0), record_every)
     plain = stacked_reference(market, reference[0], record_every)
     assert trace.cycle is not None and trace.blocks.tail is not None
@@ -613,8 +612,11 @@ def test_cycle_tail_reads_as_its_stacked_rows(tails, monkeypatch, name, rows, re
 def test_cycle_tail_blocks_are_built_only_when_read(tails, monkeypatch, record_every):
     """len(trace.records), trace.records[-1], is_consecutive and per_row
     read the stored blocks and the tail's extent: a 20 000-step run builds
-    no TraceBlock of the tail for them, only the rows they return."""
+    no TraceBlock of the tail for them, only the rows they return. Its
+    trace blocks of BLOCK_ENTRIES / record_every entries span about as many
+    iterations at every record_every."""
     market, _ = tails["exchange-long"]
+    monkeypatch.setattr("prdyn.market.BLOCK_ENTRIES", BLOCK_ENTRIES // record_every)
     trace = run_exchange(market, default_initial_exchange(market), StopRule(20000, 0.0),
                          record_every)
     built = []  # the rows of each TraceBlock built: None for a row
@@ -638,18 +640,18 @@ def test_cycle_tail_blocks_are_built_only_when_read(tails, monkeypatch, record_e
 
 
 def test_cycle_tail_keeps_each_multiple_and_the_last_row():
-    """A tail read in blocks of 3 rows at record_every = 7 keeps the
-    iterations 14, 21 and 28 and its last, 31: a block that keeps no row is
-    left out, and the last block keeps its last row."""
+    """A tail of a 3-row cycle read in blocks of 2 kept rows at
+    record_every = 7 keeps the iterations 14, 21 and 28 and its last, 31,
+    each the cycle's row of its phase."""
     market = mixed_market("exchange")
     cycle = TraceBlock.empty(market, 3).map(lambda a: np.arange(a.size, dtype=float)
                                             .reshape(a.shape))
-    tail = CycleTail(cycle, 10, 32, 7)
+    tail = CycleTail(cycle, 10, 32, 7, 2)
     blocks = TraceBlocks([], tail)
     kept = [14, 21, 28, 31]
-    assert [block.iteration.tolist() for block in blocks] == [[t] for t in kept]
-    assert [block.bids.tobytes() for block in blocks] == [cycle.bids[[(t - 10) % 3]].tobytes()
-                                                          for t in kept]
+    assert [block.iteration.tolist() for block in blocks] == [kept[:2], kept[2:]]
+    assert [block.bids.tobytes() for block in blocks] == [
+        cycle.bids[[(t - 10) % 3 for t in pair]].tobytes() for pair in (kept[:2], kept[2:])]
     assert len(tail) == 4 and tail.iterations().tolist() == kept
     assert [tail.row(j).iteration for j in range(4)] == kept
 

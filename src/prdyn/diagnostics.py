@@ -4,11 +4,16 @@ All potentials are unnormalized KL divergences between positive measures
 (equilibrium spending / prices vs. the current iterate). A check walks the
 trace's stored blocks, a series one array expression over a block's rows,
 and never mutates them; it holds one block's arrays and a few floats per
-row, and the average-price bound the m prices of every row. A per-row
+stored row, and the average-price bound the m prices of every row. A per-row
 series (the Fisher potential and price term, the Lemma 3.3 gaps, which also
-read the next row's bids, the exchange potential, the prices) goes through
-``DynamicsTrace.per_row``. The single-state functions are one-row
-calls of the same kernels; ``lemma_33_check`` calls ``corresponding_prices``.
+read the next row's bids, the exchange potential) goes through
+``DynamicsTrace.per_stored_row``, and the running mean of the prices
+through ``DynamicsTrace.per_row``. On a trace that cycles from iteration
+onset on with period P, a report costs its stepped rows, up to
+onset + P - 1: it evaluates and scans only those, and its later entries
+repeat the cycle's P values (``_report``). The single-state functions are
+one-row calls of the same kernels; ``lemma_33_check`` calls
+``corresponding_prices``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import numpy as np
 
 from .demand import corresponding_prices, demand
 from .equilibrium import EquilibriumResult, TransformedEquilibrium
-from .errors import (BoundaryBundle, InfeasibleAllocation, LengthMismatch, ModeMismatch,
-                     NonConsecutiveTrace, NonPositiveEntry, NonPositivePrice, ShapeMismatch)
+from .errors import (BoundaryBundle, InfeasibleAllocation, LazinessOutOfRange, LengthMismatch,
+                     ModeMismatch, NonConsecutiveTrace, NonPositiveEntry, NonPositivePrice,
+                     ShapeMismatch)
 from .market import DynamicsTrace, ExchangeState, MarketSpec, Mode
 from .utilities import UtilitySpec
 
@@ -74,6 +80,15 @@ def fisher_potential(b_star, b_t) -> float:
 
 @dataclass
 class DiagnosticsReport:
+    """A check's result on a consecutive trace: the potential of each row
+    as a list of floats, each step t whose inequality fails as (t, excess),
+    the average-price bound of each T as (T, lhs, rhs), the least Lemma 3.3
+    gap and whether every inequality held. On a trace that cycles from
+    iteration onset on with period P, the series lists the floats of the
+    stored rows, then those of the cycle's P rows again and again, the same
+    float objects, and a step of the cycle that fails is listed at each of
+    its repeats."""
+
     potential_series: List[float] = field(default_factory=list)
     monotone_violations: List[Tuple[int, float]] = field(default_factory=list)
     avg_price_bound: List[Tuple[int, float, float]] = field(default_factory=list)
@@ -86,21 +101,35 @@ def _require_consecutive(trace: DynamicsTrace):
         raise NonConsecutiveTrace("diagnostics need every iteration recorded from t=0")
 
 
-def _report(potentials: np.ndarray, excess: np.ndarray, slack: float) -> DiagnosticsReport:
-    """Report a potential series whose step t violates its inequality by
-    excess[t]; a NaN excess counts as a violation."""
+def _report(trace: DynamicsTrace, potentials, price_terms, slack: float) -> DiagnosticsReport:
+    """Report the potentials and price terms that trace.per_stored_row
+    gives, whose step t violates potential[t + 1] <= potential[t] -
+    price_term[t] by its excess over slack; a NaN excess counts as a
+    violation. On a cycling trace
+    the later rows and steps repeat those of the cycle
+    (DynamicsTrace.repeats): the series repeats the cycle's floats, and
+    only when a step of the cycle violates is excess gathered to every
+    step."""
+    excess = potentials[1:] - (potentials[:-1] - price_terms[:-1])
+    rows, series = len(trace.records), potentials.tolist()
+    if len(series) < rows:
+        onset, period = trace.cycle
+        # a step of the cycle that violates does so at each of its repeats
+        excess = excess if np.all(excess[onset:] <= slack) else excess[trace.repeats(rows - 1)]
+        cycle, phase = series[onset:onset + period], (len(series) - onset) % period
+        series = (series + (cycle[phase:] + cycle[:phase]) * -(-rows // period))[:rows]
     t = np.flatnonzero(~(excess <= slack))
     violations = list(zip(t.tolist(), excess[t].tolist()))
-    return DiagnosticsReport(potentials.tolist(), violations, passed=not violations)
+    return DiagnosticsReport(series, violations, passed=not violations)
 
 
 def check_potential_decrease(trace: DynamicsTrace, eq: EquilibriumResult,
                              slack: float = DEFAULT_SLACK) -> DiagnosticsReport:
     """Per-step inequality KL(b*|b^{t+1}) <= KL(b*|b^t) - KL(p*|p^t)."""
     _require_consecutive(trace)
-    potentials = trace.per_row(lambda block, _: _kl_rows(eq.b_star, block.bids))
-    price_terms = trace.per_row(lambda block, _: _kl_rows(eq.p_star, block.prices))
-    return _report(potentials, potentials[1:] - (potentials[:-1] - price_terms[:-1]), slack)
+    potentials = trace.per_stored_row(lambda block, _: _kl_rows(eq.b_star, block.bids))
+    price_terms = trace.per_stored_row(lambda block, _: _kl_rows(eq.p_star, block.prices))
+    return _report(trace, potentials, price_terms, slack)
 
 
 def _avg_price_rate(trace: DynamicsTrace, eq: EquilibriumResult):
@@ -154,9 +183,21 @@ def lemma_33_check(market: MarketSpec, eq: EquilibriumResult, alloc) -> float:
     sum_ij x*_ij p*_j (log p*_j - log q_ij) <= 0, q_i the corresponding price
     of buyer i's bundle; the column sums must be 1 to an absolute 1e-8."""
     X = np.asarray(alloc, dtype=float)[None]
+    if X.shape[1:] != (market.n_buyers, market.n_goods):
+        raise ShapeMismatch(f"alloc {X.shape[1:]} on a {market.n_buyers}x{market.n_goods} market")
     _interior(X)
     Q = corresponding_prices(*market.share_rows, X, market.budgets)
     return float(_gaps(eq.x_star * eq.p_star, np.log(eq.p_star), Q)[0])
+
+
+def _laziness(alpha, n: int) -> np.ndarray:
+    """alpha as an array, checked to broadcast to n agents and to lie in (0, 1)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim > 1 or alpha.size not in (1, n):
+        raise ShapeMismatch(f"alpha shape {alpha.shape} does not broadcast to {n} agents")
+    if not np.all((alpha > 0) & (alpha < 1)):
+        raise LazinessOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
 def _exchange_potentials(transformed: TransformedEquilibrium, alpha: np.ndarray,
@@ -170,7 +211,7 @@ def _exchange_potentials(transformed: TransformedEquilibrium, alpha: np.ndarray,
 def exchange_potential(state: ExchangeState, transformed: TransformedEquilibrium, alpha) -> float:
     """Lazy-dynamics potential: spending KL plus a savings term weighted by
     (1 - alpha_i) / alpha_i."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _laziness(alpha, len(state.spend_e))
     return float(_exchange_potentials(transformed, alpha, state.bids[None], state.spend_e[None])[0])
 
 
@@ -181,10 +222,10 @@ def check_exchange_potential_decrease(trace: DynamicsTrace, transformed: Transfo
         raise ModeMismatch(f"check_exchange_potential_decrease needs an exchange trace, "
                            f"got {trace.mode.value}")
     _require_consecutive(trace)
-    alpha = np.asarray(alpha, dtype=float)
-    potentials = trace.per_row(lambda block, _: _exchange_potentials(transformed, alpha,
-                                                                     block.bids, block.spend_e))
-    return _report(potentials, np.diff(potentials), slack)
+    alpha = _laziness(alpha, trace.blocks.stored[0].bids.shape[1])
+    potentials = trace.per_stored_row(lambda block, _: _exchange_potentials(
+        transformed, alpha, block.bids, block.spend_e))
+    return _report(trace, potentials, np.zeros_like(potentials), slack)  # no price term
 
 
 def diagnose_fisher(trace: DynamicsTrace, market: MarketSpec, eq: EquilibriumResult,
@@ -217,8 +258,8 @@ def diagnose_fisher(trace: DynamicsTrace, market: MarketSpec, eq: EquilibriumRes
                  if after is None else after.bids / X[-1])
         return np.stack((potentials, prices, _gaps(xp, log_p, v)), axis=1)
 
-    potentials, price_terms, gaps = trace.per_row(rows).T
-    report = _report(potentials, potentials[1:] - (potentials[:-1] - price_terms[:-1]), slack)
+    potentials, price_terms, gaps = trace.per_stored_row(rows).T
+    report = _report(trace, potentials, price_terms, slack)
     rhs = potentials[0] / T
     report.avg_price_bound = list(zip(T.tolist(), lhs.tolist(), rhs.tolist()))
     report.lemma_gap_min = float(gaps.min())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import _check_price, corresponding_prices, demand_jacobian, demand_rows, kkt_rows
-from .errors import InvalidRunControl, ModeMismatch
+from .errors import InvalidRunControl, ModeMismatch, ShapeMismatch
 from .market import ExchangeState, MarketSpec, Mode, income
 
 _ARMIJO = 1e-4  # sufficient decrease of ||log z||^2 per unit step length
@@ -170,7 +170,10 @@ class EquilibriumReport:
 
 
 def _verify(market: MarketSpec, x, p: np.ndarray, tol: float) -> EquilibriumReport:
-    x = np.asarray(x, dtype=float)
+    x, n, m = np.asarray(x, dtype=float), market.n_buyers, market.n_goods
+    if x.shape != (n, m) or p.shape != (m,):
+        raise ShapeMismatch(f"x shape {x.shape} and p shape {p.shape}, "
+                            f"expected ({n}, {m}) and ({m},)")
     xd = _aggregate_demand(kkt_rows(*market.share_rows), market, _check_price(p))
     col = x.sum(axis=0)
     demand_residual = float(np.max(np.abs(x - xd)))

@@ -12,7 +12,7 @@ the rows a block holds (``block_rows``), the budget drift
 after the stepped ones: the cycle's P rows, from which each later block is
 gathered by phase when it is read (``CycleTail``, ``TraceBlocks``) and
 each later row takes the per-row values of its phase
-(``DynamicsTrace.per_row``).
+(``DynamicsTrace.repeats``, ``per_stored_row``, ``per_row``).
 """
 
 from __future__ import annotations
@@ -355,8 +355,8 @@ class DynamicsTrace:
     the blocks' CycleTail, the cycle's P rows, from which each later block
     is gathered when it is read. It is None on a trace that did not cycle
     and on one built by ``stacked``. ``records``, ``is_consecutive`` and
-    ``per_row`` read the stored blocks and the tail's extent, and
-    ``per_row`` evaluates each distinct row of a cycling trace once.
+    ``per_stored_row`` read the stored blocks and the tail's extent, and
+    ``per_stored_row`` evaluates each distinct row of a cycling trace once.
     """
 
     mode: Mode
@@ -393,22 +393,39 @@ class DynamicsTrace:
         """Every recorded row, oldest first, as views of the blocks."""
         return _Rows(self.blocks)
 
-    def per_row(self, series) -> np.ndarray:
+    def repeats(self, rows: int) -> np.ndarray:
+        """The row whose values each of the rows 0 .. rows - 1 of a
+        consecutive trace takes: on a trace that cycles from iteration onset
+        on with period P, row t >= onset takes those of row
+        onset + (t - onset) mod P, a stored row; every other row its own.
+        Step t, from row t to row t + 1, likewise repeats step repeats[t]."""
+        onset, period = self.cycle or (rows, 1)
+        return np.r_[:onset, onset + np.arange(rows - onset) % period]
+
+    def per_stored_row(self, series) -> np.ndarray:
         """series(block, after), the values of each row of a block (an array
         with a leading axis of its rows) given the row after it (None after
-        the last), for every row of a consecutive trace. It evaluates the
-        stored blocks only: on a trace that cycles from iteration onset on
-        with period P, those hold the rows up to onset + P - 1, and row t
-        takes the values of row onset + (t - onset) mod P, gathered from
-        them. A row has the same bits alone or inside a block, so this is
-        bit for bit what evaluating every row gives."""
+        the last), for every stored row of a consecutive trace and, on one
+        with a CycleTail, for the row after them, which repeats the cycle's
+        first row. On a trace that cycles from iteration onset on with period
+        P the stored rows are those up to onset + P - 1, so this costs the
+        stepped rows, whatever the trace's length. A row has the same bits
+        alone or inside a block, so each value is bit for bit what
+        evaluating its row gives."""
         blocks, tail = self.blocks.stored, self.blocks.tail
         afters = [*(block.row(0) for block in blocks[1:]), None if tail is None else tail.row(0)]
         values = np.concatenate([series(block, after) for block, after in zip(blocks, afters)])
-        if tail is not None:
-            onset, period = self.cycle
-            values = values[np.r_[:onset, onset + np.arange(len(self.records) - onset) % period]]
-        return values
+        return values if tail is None else values[self.repeats(len(values) + 1)]
+
+    def per_row(self, series) -> np.ndarray:
+        """per_stored_row's values for every row of a consecutive trace, row
+        t's gathered from those of row repeats(...)[t]: an array of
+        len(records) rows, for a quantity built on them that differs on
+        every row even where the state repeats, such as the running mean of
+        the prices. The diagnostics reports read per_stored_row instead, and
+        their later entries repeat the cycle's P values."""
+        values = self.per_stored_row(series)
+        return values if self.blocks.tail is None else values[self.repeats(len(self.records))]
 
     def is_consecutive(self) -> bool:
         """Whether the rows are the iterations 0, 1, 2, ... with none missing."""

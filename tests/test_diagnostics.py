@@ -30,6 +30,7 @@ from prdyn.market import BLOCK_ENTRIES
 from prdyn.errors import (
     BoundaryBundle,
     InfeasibleAllocation,
+    LazinessOutOfRange,
     LengthMismatch,
     ModeMismatch,
     NonConsecutiveTrace,
@@ -224,8 +225,44 @@ class TestLemma33:
         with pytest.raises(InfeasibleAllocation):
             lemma_33_check(market, eq, np.full((3, 4), 1.0 / 3.0) * 1.5)
 
+    def test_allocation_of_the_wrong_shape_rejected(self, rng):
+        """A (2, 4) allocation on a 3 x 4 market is a shape fault, not an
+        infeasible one."""
+        market = random_fisher_market("ces", 3, 4, rng)
+        eq = solve_fisher_eq(market)
+        with pytest.raises(ShapeMismatch, match=r"alloc \(2, 4\) on a 3x4 market"):
+            lemma_33_check(market, eq, eq.x_star[:2])
+
 
 class TestExchangePotential:
+    @pytest.mark.parametrize("alpha, error, message", [
+        ([0.5, 0.5], ShapeMismatch, r"alpha shape \(2,\) does not broadcast to 3 agents"),
+        (np.full((3, 1), 0.5), ShapeMismatch, r"alpha shape \(3, 1\)"),
+        (0.0, LazinessOutOfRange, "alpha must lie in"),
+        ([0.5, 1.0, 0.5], LazinessOutOfRange, "alpha must lie in"),
+        ([0.5, np.nan, 0.5], LazinessOutOfRange, "alpha must lie in"),
+    ], ids=["short", "2-d", "zero", "one", "nan"])
+    def test_bad_alpha_rejected_before_any_kl(self, rng, alpha, error, message):
+        """An alpha that does not broadcast to the n agents, or with an
+        entry outside (0, 1), is refused with a precise error and no numpy
+        warning, by the check and by the one-state potential."""
+        market = random_exchange_market("ces", 3, 4, rng)
+        transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
+        trace = run_exchange(market, default_initial_exchange(market), StopRule(20))
+        with np.errstate(all="raise"):
+            with pytest.raises(error, match=message):
+                check_exchange_potential_decrease(trace, transformed, alpha)
+            with pytest.raises(error, match=message):
+                exchange_potential(equilibrium_exchange_state(transformed), transformed, alpha)
+
+    def test_scalar_alpha_broadcasts(self, rng):
+        market = random_exchange_market("ces", 3, 4, rng)
+        transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
+        trace = run_exchange(market, default_initial_exchange(market), StopRule(20))
+        scalar = check_exchange_potential_decrease(trace, transformed, 0.5)
+        vector = check_exchange_potential_decrease(trace, transformed, np.full(3, 0.5))
+        assert scalar.potential_series == vector.potential_series
+
     def test_zero_at_transformed_equilibrium(self, rng):
         market = random_exchange_market("ces", 3, 4, rng)
         transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market, tol=1e-12))
@@ -336,18 +373,21 @@ def _block_records(market):
 
 def _pass_gaps(market, eq, trace):
     """The per-row Lemma 3.3 gaps of diagnose_fisher's pass, the last of the
-    per-row series it has DynamicsTrace.per_row evaluate, and its report."""
+    series it has DynamicsTrace.per_stored_row evaluate, given to every row
+    (a cycling trace's later rows take those of the row they repeat), and
+    its report."""
     seen = []
-    per_row = DynamicsTrace.per_row
+    per_stored_row = DynamicsTrace.per_stored_row
 
     def spy(self, series):
-        seen.append(per_row(self, series))
+        seen.append(per_stored_row(self, series))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DynamicsTrace, "per_row", spy)
+        patch.setattr(DynamicsTrace, "per_stored_row", spy)
         report = diagnose_fisher(trace, market, eq)
-    return seen[-1][:, -1], report
+    gaps = seen[-1][:, -1]
+    return (gaps if trace.cycle is None else gaps[trace.repeats(len(trace.records))]), report
 
 
 MIXED_8 = ["separable_power", "ces", "cobb_douglas"] * 2 + ["separable_power", "ces"]

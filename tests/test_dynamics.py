@@ -27,6 +27,7 @@ from prdyn import (
     Mode,
     StopRule,
     check_exchange_potential_decrease,
+    check_potential_decrease,
     default_initial_bids,
     default_initial_exchange,
     diagnose_fisher,
@@ -41,6 +42,7 @@ from prdyn import (
 )
 from prdyn import dynamics
 from prdyn.cli import generate_market
+from prdyn.diagnostics import DEFAULT_SLACK
 from prdyn.dynamics import BID_FLOOR, _cycle, _pr_map
 from prdyn.errors import (
     InconsistentSpending,
@@ -444,14 +446,20 @@ def test_cycle_longer_than_the_stride_is_stepped_through(cycling, monkeypatch, n
     assert stepped[0] == CYCLE_STEPS
 
 
-def diagnostics_bits(market, trace):
-    """Every field of the market mode's diagnostics report on trace, as repr."""
+def diagnostics_bits(market, trace, slack):
+    """Every field of each diagnostics report of the market's mode on trace
+    at slack, as repr; each potential series is a list of floats."""
     if market.mode is Mode.FISHER:
-        report = diagnose_fisher(trace, market, solve_fisher_eq(market))
+        eq = solve_fisher_eq(market)
+        reports = [diagnose_fisher(trace, market, eq, slack),
+                   check_potential_decrease(trace, eq, slack)]
     else:
         transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market))
-        report = check_exchange_potential_decrease(trace, transformed, market.laziness)
-    return repr(vars(report))
+        reports = [check_exchange_potential_decrease(trace, transformed, market.laziness, slack)]
+    for report in reports:
+        assert type(report.potential_series) is list
+        assert all(type(v) is float for v in report.potential_series)
+    return [repr(vars(report)) for report in reports]
 
 
 def restacked(market, trace):
@@ -464,9 +472,11 @@ def restacked(market, trace):
 
 @pytest.mark.parametrize("name", CYCLING)
 def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch, name):
-    """The diagnostics evaluate a cycling trace up to the end of its first
-    period and give later rows the value of their phase: every report field
-    equals, bit for bit, that of the same rows evaluated one by one."""
+    """The diagnostics evaluate and scan a cycling trace up to the end of
+    its first period and give later rows and steps the values of their
+    phase: every report field equals, bit for bit, that of the same rows
+    evaluated one by one. At slack -1 every step of the cycle violates,
+    so the reports list it at each of its repeats."""
     market, references, onset, period = cycling[name]
     _, _, run = stepper(market)
     # the block edges of test_cycle_fill_at_any_row_of_a_block
@@ -477,7 +487,8 @@ def test_cycle_diagnostics_equal_those_of_the_stacked_rows(cycling, monkeypatch,
         assert (trace.cycle is not None) == (rows >= period)
         plain = restacked(market, trace)
         assert plain.cycle is None
-        assert diagnostics_bits(market, trace) == diagnostics_bits(market, plain)
+        for slack in (DEFAULT_SLACK, -1.0):
+            assert diagnostics_bits(market, trace, slack) == diagnostics_bits(market, plain, slack)
 
 
 def test_cycling_trace_holds_its_stepped_rows_and_one_cycle_block(monkeypatch):
@@ -516,6 +527,27 @@ def pool_market():
     workloads = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))
     kind = workloads["WORKLOADS"]["exchange-long"].kinds[1]
     return workloads["make_market"](kind, np.random.default_rng([90001, 1]))
+
+
+def test_cycling_report_retains_a_list_entry_per_row():
+    """The potential decrease report of a 20 000-step run of the
+    exchange-long pool market retains at most 250 KB: the 8 B list entry of
+    each row's potential, the floats of its stepped rows and nothing per
+    step, since only a violating step of the cycle is listed at its
+    repeats, and the series repeats the cycle's floats."""
+    market = pool_market()
+    transformed = transform_exchange_equilibrium(market, solve_exchange_eq(market))
+    trace = run_exchange(market, default_initial_exchange(market), StopRule(20000, 0.0))
+    assert trace.cycle is not None and len(trace.records) == 20000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_exchange_potential_decrease(trace, transformed, market.laziness)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.potential_series) == 20000
+    assert retained <= 250_000, retained
 
 
 @pytest.fixture(scope="module")

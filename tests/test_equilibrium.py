@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -22,7 +23,7 @@ from prdyn import (
     verify_exchange_equilibrium,
     verify_fisher_equilibrium,
 )
-from prdyn.errors import ModeMismatch
+from prdyn.errors import ModeMismatch, ShapeMismatch
 from conftest import FAMILIES, cobb_douglas_2x2, random_fisher_market
 from test_exchange import random_exchange_market, symmetric_market
 
@@ -112,6 +113,15 @@ class TestVerifyFisher:
         x_bad = np.full((3, 4), 1.0 / 3.0)
         assert not verify_fisher_equilibrium(market, x_bad, eq.p_star, tol=1e-6).passed
 
+    @pytest.mark.parametrize("cut", [slice(2), (slice(None), slice(3))], ids=["rows", "columns"])
+    def test_allocation_of_the_wrong_shape_rejected(self, rng, cut):
+        market = random_fisher_market("ces", 3, 4, rng)
+        eq = solve_fisher_eq(market)
+        x = eq.x_star[cut]
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"x shape {x.shape} and p shape (4,), expected (3, 4) and (4,)")):
+            verify_fisher_equilibrium(market, x, eq.p_star)
+
 
 class TestSolveExchange:
     def test_symmetric_two_agents(self):
@@ -159,6 +169,16 @@ class TestVerifyExchange:
         eq = solve_exchange_eq(market, tol=1e-12)
         x_bad = eq.x_star[[1, 0, 2]]
         assert not verify_exchange_equilibrium(market, x_bad, eq.p_star, tol=1e-6).passed
+
+    @pytest.mark.parametrize("p", [lambda p: p[:3], lambda p: np.append(p, 0.1), lambda p: p[None]],
+                             ids=["short", "long", "2-d"])
+    def test_prices_of_the_wrong_shape_rejected(self, rng, p):
+        market = random_exchange_market("ces", 3, 4, rng)
+        eq = solve_exchange_eq(market, tol=1e-12)
+        bad = p(eq.p_star)
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"x shape (3, 4) and p shape {bad.shape}, expected (3, 4) and (4,)")):
+            verify_exchange_equilibrium(market, eq.x_star, bad)
 
 
 # ---------------------------------------------------------------------------
